@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import adversary, codebook, harness, protocol1, protocol2
-from .errors import CertificationError, ProtocolError
+from .errors import CertificationError, InputError, ProtocolError
 from .transcript import Transcript, format_float
 
 
@@ -163,6 +163,8 @@ def _cmd_codebook(args) -> int:
 
 def _cmd_cheat(args) -> int:
     if args.protocol == 1:
+        if args.theta is None:
+            raise InputError("protocol 1 cheats need --theta")
         params = protocol1.SecurityParams(
             theta=args.theta, n=len(args.reveal), r=args.r
         )
@@ -179,6 +181,8 @@ def _cmd_cheat(args) -> int:
             1, strategy, args.reveal, args.seed, params=params
         )
     else:
+        if args.codebook is None or args.cheat_set is None:
+            raise InputError("protocol 2 cheats need --codebook and --cheat-set")
         cb = _load_codebook(args.codebook)
         indices = _parse_ints(args.cheat_set)
         cheat_set = protocol2.cheat_set_for(cb, indices)

@@ -6,7 +6,12 @@ Each message ``x`` maps through a full-rank generator matrix to a codeword
 ``d`` is the Hamming distance between the codewords, so the maximum pairwise
 overlap of the whole family equals ``max |1 - 2 w / m|`` over the nonzero
 codeword weights ``w``.  Certification is exhaustive over that weight
-enumeration and cross-checked against directly computed inner products.
+enumeration, which works on the generator rows packed into 64-bit words:
+a table of all XOR combinations of the low rows is built by doubling, each
+combination of the high rows is XORed into it, and popcounts give the
+weights.  Each certified number is enumerated once and then cross-checked
+against directly computed inner products; the dense per-message product
+``bits @ G mod 2`` remains only as the tests' oracle.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
 ``numpy.random.SeedSequence``; attempt ``i`` of a certification run uses the
@@ -35,6 +40,7 @@ MAX_GENERATE_M = 4096
 DEFAULT_ATTEMPT_CAP = 500
 OVERLAP_IDENTITY_TOL = 1e-12
 _CROSSCHECK_PAIRS = 100
+_XOR_TABLE_ROWS = 12  # 4096 codewords per block of the weight enumeration
 # spawn tags reserved on top of attempt indices
 _TAG_CROSSCHECK = 0x636B  # "ck"
 
@@ -146,20 +152,34 @@ class BinaryCode:
         return (self.message_bits(message) @ self.generator) % 2
 
     def nonzero_codeword_weights(self) -> np.ndarray:
-        """Hamming weights of all 2^k - 1 nonzero codewords, blockwise."""
+        """Hamming weights of all 2^k - 1 nonzero codewords in message order.
+
+        The last ``min(k, 12)`` generator rows span a table of at most 4096
+        bit-packed codewords; every combination of the remaining rows is
+        XORed into that table in turn and its rows are popcounted.
+        """
         if self.k == 0:
             return np.zeros(0, dtype=np.int64)
-        weights = np.empty(2**self.k - 1, dtype=np.int64)
-        shifts = np.arange(self.k - 1, -1, -1, dtype=np.uint32)
-        block = 4096
-        for start in range(1, 2**self.k, block):
-            msgs = np.arange(start, min(start + block, 2**self.k), dtype=np.uint32)
-            bits = ((msgs[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-            codewords = (bits @ self.generator) % 2
-            weights[start - 1 : start - 1 + msgs.size] = codewords.sum(
-                axis=1, dtype=np.int64
-            )
-        return weights
+        packed = np.packbits(self.generator, axis=1)
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+        rows = packed.view(np.uint64)
+        low = min(self.k, _XOR_TABLE_ROWS)
+        table = _xor_span(rows[self.k - low :])
+        weights = np.concatenate(
+            [
+                np.bitwise_count(table ^ high).sum(axis=1, dtype=np.int64)
+                for high in _xor_span(rows[: self.k - low])
+            ]
+        )
+        return weights[1:]
+
+
+def _xor_span(rows: np.ndarray) -> np.ndarray:
+    """XOR of the rows selected by each big-endian index, by doubling."""
+    span = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        span = np.concatenate([span, span ^ row])
+    return span
 
 
 def generate_code(k: int, m: int, seed: int) -> BinaryCode:
@@ -216,15 +236,6 @@ class Codebook:
         """State for one message index (amplitudes +-1/sqrt(m))."""
         c = self.code.codeword(index)
         return Ket((1.0 - 2.0 * c.astype(float)) / math.sqrt(self.code.m))
-
-    def states_matrix(self) -> np.ndarray:
-        """All states as rows of a (size x dim) float matrix."""
-        if self.size * self.dim > 2**24:
-            raise InputError("state matrix too large to materialize")
-        rows = np.empty((self.size, self.dim), dtype=float)
-        for i in range(self.size):
-            rows[i] = self.state(i).amps.real
-        return rows
 
     def to_json(self) -> str:
         payload = {
@@ -296,13 +307,9 @@ def fingerprint_states(code: BinaryCode) -> Codebook:
         raise InputError(
             f"code has 2^{code.k} messages, beyond the exhaustive regime"
         )
-    cb = Codebook(
-        code=code,
-        epsilon_certified=_epsilon_from_weights(code),
-        seed=code.seed,
-        attempts=1,
-    )
-    verify_epsilon(cb)
+    epsilon = _epsilon_from_weights(code)
+    cb = Codebook(code=code, epsilon_certified=epsilon, seed=code.seed, attempts=1)
+    _crosscheck_pairs(cb, epsilon)
     return cb
 
 
@@ -317,31 +324,38 @@ def verify_epsilon(cb: Codebook) -> float:
     if cb.size > MAX_EXHAUSTIVE_SIZE:
         raise InputError("codebook too large for exhaustive certification")
     epsilon = _epsilon_from_weights(cb.code)
-    if cb.size >= 2:
-        rng = np.random.Generator(
-            np.random.Philox(
-                np.random.SeedSequence(cb.code.seed, spawn_key=(_TAG_CROSSCHECK,))
-            )
-        )
-        for _ in range(_CROSSCHECK_PAIRS):
-            i = int(rng.integers(0, cb.size))
-            j = int(rng.integers(0, cb.size - 1))
-            if j >= i:
-                j += 1
-            direct = float(np.vdot(cb.state(i).amps, cb.state(j).amps).real)
-            d = int(np.sum(cb.code.codeword(i) != cb.code.codeword(j)))
-            predicted = 1.0 - 2.0 * d / cb.code.m
-            if abs(direct - predicted) > OVERLAP_IDENTITY_TOL:
-                raise NumericalError(
-                    f"overlap identity violated for pair ({i}, {j}): "
-                    f"direct {direct!r} vs predicted {predicted!r}"
-                )
-            if abs(direct) > epsilon + OVERLAP_IDENTITY_TOL:
-                raise NumericalError(
-                    f"pair ({i}, {j}) overlap {direct!r} exceeds certified "
-                    f"{epsilon!r}"
-                )
+    _crosscheck_pairs(cb, epsilon)
     return epsilon
+
+
+def _crosscheck_pairs(cb: Codebook, epsilon: float) -> None:
+    """Check seeded random pairs' direct inner products against the overlap
+    identity and against the enumerated ``epsilon``."""
+    if cb.size < 2:
+        return
+    rng = np.random.Generator(
+        np.random.Philox(
+            np.random.SeedSequence(cb.code.seed, spawn_key=(_TAG_CROSSCHECK,))
+        )
+    )
+    for _ in range(_CROSSCHECK_PAIRS):
+        i = int(rng.integers(0, cb.size))
+        j = int(rng.integers(0, cb.size - 1))
+        if j >= i:
+            j += 1
+        direct = float(np.vdot(cb.state(i).amps, cb.state(j).amps).real)
+        d = int(np.sum(cb.code.codeword(i) != cb.code.codeword(j)))
+        predicted = 1.0 - 2.0 * d / cb.code.m
+        if abs(direct - predicted) > OVERLAP_IDENTITY_TOL:
+            raise NumericalError(
+                f"overlap identity violated for pair ({i}, {j}): "
+                f"direct {direct!r} vs predicted {predicted!r}"
+            )
+        if abs(direct) > epsilon + OVERLAP_IDENTITY_TOL:
+            raise NumericalError(
+                f"pair ({i}, {j}) overlap {direct!r} exceeds certified "
+                f"{epsilon!r}"
+            )
 
 
 def generate_certified_codebook(
@@ -359,6 +373,11 @@ def generate_certified_codebook(
     """
     if not 0.0 <= epsilon_target <= 1.0:
         raise InputError(f"epsilon_target {epsilon_target!r} outside [0, 1]")
+    if 2**k > MAX_EXHAUSTIVE_SIZE:
+        raise InputError(
+            f"k = {k} gives 2^{k} states, beyond the {MAX_EXHAUSTIVE_SIZE} "
+            "that can be certified exhaustively"
+        )
     best = math.inf
     for attempt in range(attempt_cap):
         code = generate_code(k, n, derive_seed(seed, attempt))
@@ -370,7 +389,7 @@ def generate_certified_codebook(
                 seed=int(seed),
                 attempts=attempt + 1,
             )
-            verify_epsilon(cb)
+            _crosscheck_pairs(cb, epsilon)
             return cb
         best = min(best, epsilon)
     raise CertificationError(

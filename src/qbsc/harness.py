@@ -335,7 +335,7 @@ def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> dict:
         r = int(rng.integers(2, r_max + 1))
         indices = rng.choice(cb.size, size=r, replace=False)
         s = protocol2.cheat_set_for(cb, (int(i) for i in indices))
-        lam = float(np.linalg.eigvalsh(protocol2.q_operator(cb, s).mat)[-1])
+        lam = float(np.linalg.eigvalsh(protocol2.cheat_set_gram(cb, s))[-1])
         bound = protocol2.binding_bound2(r, eps)
         worst = max(worst, lam - bound)
         if lam > bound + 1e-9:

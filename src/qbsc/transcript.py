@@ -134,6 +134,12 @@ class Transcript:
             raise InputError(f"unknown protocol {self.protocol!r}")
         if self.phase not in PHASES:
             raise InputError(f"unknown phase {self.phase!r}")
+        if self.phase != "committed" and not (
+            isinstance(self.unveil, dict) and isinstance(self.unveil.get("claimed"), str)
+        ):
+            raise InputError(
+                f"phase {self.phase!r} needs an unveil record with a string 'claimed'"
+            )
 
     def to_json(self) -> str:
         payload = {

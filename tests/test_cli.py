@@ -73,6 +73,18 @@ class TestSessionFlow:
         assert record["verify"]["accept_probability"] == 1.0
         assert record["verify"]["verdict"] is True
 
+    def test_unveiled_without_unveil_record_input_error(self, tmp_path, capsys):
+        t = tmp_path / "session.json"
+        run("commit", "--bits", "10", "--theta", 0.2, "--seed", 1,
+            "--transcript", t)
+        run("unveil", "--transcript", t, "--bits", "10")
+        payload = json.loads(t.read_text())
+        for unveil in (None, {"claim_matches_commit": True}, {"claimed": 10}):
+            payload["unveil"] = unveil
+            t.write_text(json.dumps(payload))
+            assert run("verify", "--transcript", t) == 2
+            assert "unveil" in capsys.readouterr().err
+
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
         other = tmp_path / "other.json"
         run("codebook", "gen", "--n", 32, "--k", 6, "--epsilon", 0.5,
@@ -117,6 +129,20 @@ class TestCodebookCommands:
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(payload))
         assert run("codebook", "verify", "--codebook", bad) == 4
+
+    def test_gen_beyond_exhaustive_regime_rejected_before_enumeration(
+        self, tmp_path, monkeypatch
+    ):
+        from qbsc.codebook import BinaryCode
+
+        def never(self):
+            raise AssertionError("weights enumerated for an unsupported k")
+
+        monkeypatch.setattr(BinaryCode, "nonzero_codeword_weights", never)
+        out = tmp_path / "never.json"
+        assert run("codebook", "gen", "--n", 64, "--k", 17, "--epsilon", 1.0,
+                   "--out", out) == 2
+        assert not out.exists()
 
     def test_gen_infeasible_exit_code(self, tmp_path):
         out = tmp_path / "never.json"
@@ -198,3 +224,16 @@ class TestCheatCommand:
         record = json.loads(t.read_text())
         assert record["strategy"]["kind"] == "top-eigenvector"
         assert record["strategy"]["achieved"] <= 1 + 2 * 0.375 + 1e-9
+
+    def test_protocol1_cheat_needs_theta(self, tmp_path, capsys):
+        t = tmp_path / "cheat.json"
+        assert run("cheat", "--protocol", 1, "--reveal", "0000",
+                   "--transcript", t) == 2
+        assert "--theta" in capsys.readouterr().err
+
+    def test_protocol2_cheat_needs_cheat_set(self, tmp_path, codebook_path, capsys):
+        t = tmp_path / "cheat2.json"
+        assert run("cheat", "--protocol", 2, "--codebook", codebook_path,
+                   "--reveal", "000011", "--transcript", t) == 2
+        assert "--cheat-set" in capsys.readouterr().err
+        assert not t.exists()

@@ -89,6 +89,44 @@ class TestGenerateCode:
             generate_code(4, 3, 1)
 
 
+def dense_weights(code):
+    """Oracle: ``(bits @ G) % 2`` over every nonzero message, in order."""
+    k = code.k
+    msgs = np.arange(1, 2**k, dtype=np.int64)
+    bits = ((msgs[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+    return ((bits @ code.generator) % 2).sum(axis=1, dtype=np.int64)
+
+
+class TestWeightEnumeration:
+    """The bit-packed XOR enumeration against the dense product."""
+
+    @pytest.mark.parametrize(
+        "k, m",
+        [(1, 1), (1, 9), (3, 64), (12, 100), (12, 130), (13, 64), (13, 203), (16, 77)],
+    )
+    def test_matches_dense_product_in_message_order(self, k, m):
+        code = generate_code(k, m, seed=1000 * k + m)
+        weights = code.nonzero_codeword_weights()
+        assert weights.dtype == np.int64
+        assert np.array_equal(weights, dense_weights(code))
+
+    @given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_product_random_codes(self, k, seed, data):
+        m = data.draw(st.integers(k, 200))
+        code = generate_code(k, m, seed)
+        assert np.array_equal(code.nonzero_codeword_weights(), dense_weights(code))
+
+    def test_pinned_generator(self):
+        code = BinaryCode(generator=PINNED_4x16, seed=0)
+        assert code.nonzero_codeword_weights().tolist() == enumerate_weights(PINNED_4x16)
+
+    def test_k0_has_no_nonzero_codewords(self):
+        code = BinaryCode(generator=np.zeros((0, 5), dtype=np.uint8), seed=0, length=5)
+        weights = code.nonzero_codeword_weights()
+        assert weights.dtype == np.int64 and weights.size == 0
+
+
 class TestFingerprintStates:
     def test_identical_codeword_overlap_is_one(self):
         cb = fingerprint_states(BinaryCode(generator=PINNED_4x16, seed=0))
@@ -183,6 +221,17 @@ class TestGenerateCertified:
         assert err.value.best_epsilon is not None
         assert err.value.best_epsilon > 0.01
         assert err.value.attempts == 20
+
+    def test_k_beyond_exhaustive_regime_rejected_before_drawing(self, monkeypatch):
+        import qbsc.codebook as codebook_module
+
+        def never(*args):
+            raise AssertionError("code drawn for an unsupported k")
+
+        monkeypatch.setattr(codebook_module, "generate_code", never)
+        for k in (17, 20):
+            with pytest.raises(InputError):
+                generate_certified_codebook(64, 1.0, k, seed=0)
 
     def test_determinism(self):
         a = generate_certified_codebook(32, 0.5, 6, seed=1)

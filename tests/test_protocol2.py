@@ -11,17 +11,21 @@ from qbsc import (
     binding_bound2,
     capacity,
     cheat_set_for,
+    cheat_set_gram,
     code_ensemble_entropy,
     commit2,
     equality_configuration,
     fingerprint_states,
     generate_certified_codebook,
+    generate_code,
     hiding_bound2,
     q_operator,
     random_density_matrix,
     rayleigh_quotient_terms,
     verify_unveil2,
+    von_neumann_entropy,
 )
+from qbsc.linalg import DensityMatrix
 from qbsc.protocol2 import index_string, string_index
 
 ORTHOGONAL_2x4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
@@ -30,6 +34,12 @@ ORTHOGONAL_2x4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
 @pytest.fixture(scope="module")
 def pinned_codebook():
     return generate_certified_codebook(32, 0.5, 6, seed=1)
+
+
+@pytest.fixture(scope="module")
+def wide_codebook():
+    """k = 10 over dim 1024, the size of a certification audit."""
+    return generate_certified_codebook(1024, 0.25, 10, seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +314,51 @@ class TestHiding2:
         cb = fingerprint_states(code)  # two orthogonal states in dim 4
         assert code_ensemble_entropy(cb) == pytest.approx(1.0, abs=1e-12)
         assert hiding_bound2(cb) == 2.0
+
+
+def dense_ensemble_entropy(cb):
+    """Oracle: entropy of the explicit dim x dim uniform mixture."""
+    rows = np.stack([cb.state(i).amps.real for i in range(cb.size)])
+    return von_neumann_entropy(DensityMatrix(rows.T @ rows / cb.size))
+
+
+class TestSmallMatrixSpectra:
+    """Gram and closed-form spectra against the dense dim x dim oracles."""
+
+    @pytest.mark.parametrize("name", ["pinned_codebook", "wide_codebook"])
+    def test_gram_top_eigenvalue_matches_q_operator(self, name, request):
+        cb = request.getfixturevalue(name)
+        rng = np.random.default_rng(17)
+        r_max = min(cb.size, math.ceil(1.0 / cb.epsilon_certified))
+        for _ in range(6 if cb.dim <= 64 else 2):
+            r = int(rng.integers(2, r_max + 1))
+            s = cheat_set_for(cb, rng.choice(cb.size, size=r, replace=False).tolist())
+            gram = cheat_set_gram(cb, s)
+            assert gram.shape == (r, r) and gram.dtype == float
+            dense = np.linalg.eigvalsh(q_operator(cb, s).mat)[-1]
+            assert abs(np.linalg.eigvalsh(gram)[-1] - dense) <= 1e-12
+
+    def test_gram_entries_are_inner_products(self, pinned_codebook):
+        s = cheat_set_for(pinned_codebook, [0, 9, 33])
+        gram = cheat_set_gram(pinned_codebook, s)
+        for a, i in enumerate(s.indices):
+            for b, j in enumerate(s.indices):
+                direct = np.vdot(pinned_codebook.state(i).amps,
+                                 pinned_codebook.state(j).amps).real
+                assert gram[a, b] == pytest.approx(direct, abs=1e-15)
+
+    def test_gram_rejects_out_of_range_index(self, pinned_codebook):
+        with pytest.raises(InputError):
+            cheat_set_gram(pinned_codebook, CheatSet(indices=(0, 64)))
+
+    def test_closed_form_entropy_matches_dense_mixture(self, pinned_codebook):
+        codebooks = [pinned_codebook]
+        for k, m, seed in ((1, 3, 0), (3, 5, 1), (4, 9, 2), (5, 64, 3), (7, 96, 4)):
+            codebooks.append(fingerprint_states(generate_code(k, m, seed)))
+        # repeated and all-zero columns form classes larger than one
+        codebooks.append(fingerprint_states(BinaryCode(
+            generator=np.array([[1, 1, 0, 0, 1], [0, 0, 1, 0, 1]], dtype=np.uint8),
+            seed=0,
+        )))
+        for cb in codebooks:
+            assert abs(code_ensemble_entropy(cb) - dense_ensemble_entropy(cb)) <= 1e-10
