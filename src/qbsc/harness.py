@@ -235,14 +235,13 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _protocol1_row(theta: float, n: int, r: int, brute_force_max_n: int) -> dict:
-    rhs = protocol1.binding_bound1(theta)
+def _protocol1_row(
+    theta: float, n: int, r: int, rhs: float, lam: float, brute: float | None
+) -> dict:
+    """One grid row; ``rhs`` and ``lam`` are solved per theta, ``brute`` per
+    (theta, n), and ``brute`` is None above the brute-force limit."""
     identity = 1.0 + math.sin(theta)
-    lam = protocol1.top_reveal_eigenvalue(theta)
     holevo = protocol1.holevo_bound1(n, theta)
-    brute = None
-    if 1 <= n <= brute_force_max_n:
-        brute = von_neumann_entropy(protocol1.uniform_commitment_state(n, theta))
     delta_raw = protocol1.identify_all_bound_raw(n, theta, r)
     delta = min(1.0, delta_raw)
     guess_all = adversary.guess_all_oracle(n, theta)
@@ -365,18 +364,31 @@ def bound_sweep(
     """One row per grid point, each carrying the cap and its oracle.
 
     Grid order is deterministic: thetas outermost, then n, then r, then the
-    equality configurations and the codebook row.
+    equality configurations and the codebook row.  The binding cap and the
+    reveal-set eigenvalue are solved once per theta, and the brute-force
+    mixture entropy once per (theta, n), since neither depends on r.
     """
     thetas = list(thetas)
     ns = list(ns)
     rs = list(rs)
     if not thetas or not ns or not rs:
         raise InputError("sweep grids must be non-empty")
+    if min(ns) < 1 or min(rs) < 1:
+        raise InputError("sweep needs every n >= 1 and every r >= 1")
+    if codebook is not None and cheat_samples < 1:
+        raise InputError(f"cheat_samples must be >= 1, got {cheat_samples}")
     rows = []
     for theta in thetas:
+        rhs = protocol1.binding_bound1(theta)
+        lam = protocol1.top_reveal_eigenvalue(theta)
         for n in ns:
+            brute = None
+            if n <= brute_force_max_n:
+                brute = von_neumann_entropy(
+                    protocol1.uniform_commitment_state(n, theta)
+                )
             for r in rs:
-                rows.append(_protocol1_row(theta, n, r, brute_force_max_n))
+                rows.append(_protocol1_row(theta, n, r, rhs, lam, brute))
     for r, epsilon in equality_configs:
         rows.append(_equality_row(r, epsilon))
     if codebook is not None:

@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for small Hilbert spaces.
+"""Dense linear algebra for small Hilbert spaces.
 
 State vectors, Hermitian operators and density matrices are thin immutable
-wrappers around numpy arrays, validated at construction.  Construction
-tolerances are 1e-10 and spectral tolerances 1e-8, sized so that
-double-precision eigensolves up to dimension 4096 pass comfortably.
+wrappers around numpy arrays, validated at construction.  State vectors are
+complex; operators keep real input real (float64) and store complex input
+as complex128, so real symmetric matrices never pay for a complex copy.
+Construction tolerances are 1e-10 and spectral tolerances 1e-8, sized so
+that double-precision eigensolves up to dimension 4096 pass comfortably.
 
 All values are immutable after construction and every operation is a pure
 function, so callers may freely share objects between threads.
@@ -40,7 +42,7 @@ class Ket:
         if arr.ndim != 1 or arr.size < 1:
             raise InputError("Ket amplitudes must form a non-empty 1-D vector")
         norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # also rejects NaN and inf
             raise InputError(
                 f"Ket is not normalized: sum |amps|^2 = {norm_sq!r} "
                 f"(tolerance {NORM_TOL})"
@@ -63,15 +65,20 @@ class Ket:
 
 @dataclass(frozen=True)
 class HermitianOp:
-    """Hermitian matrix on a finite-dimensional space."""
+    """Hermitian matrix on a finite-dimensional space.
+
+    Real input is stored as float64 and anything else as complex128.
+    """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.mat, dtype=complex)
+        arr = np.asarray(self.mat)
+        arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError("operator must be a square matrix")
-        if np.max(np.abs(arr - arr.conj().T)) > NORM_TOL:
+        # any NaN or inf entry makes the difference NaN or inf and fails
+        if not np.max(np.abs(arr - arr.conj().T)) <= NORM_TOL:
             raise InputError("matrix is not Hermitian within 1e-10")
         object.__setattr__(self, "mat", _freeze(arr))
 

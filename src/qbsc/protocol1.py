@@ -200,19 +200,21 @@ def top_reveal_eigenvalue(theta: float) -> float:
 def uniform_commitment_state(n: int, theta: float) -> DensityMatrix:
     """The 2^n-dimensional equal mixture of all committed product states.
 
-    Columns of the n-fold Kronecker power of [encode(0) encode(1)] enumerate
-    the product states of all bit strings (big-endian), so the mixture is
-    that matrix times its transpose over 2^n.
+    The uniform mixture over all bit strings is the n-fold Kronecker power
+    of the real single-qubit mixture rho_1 = (|e0><e0| + |e1><e1|) / 2 of
+    the two encodings, built here as a dense real 2^n x 2^n matrix.  Its
+    spectrum is left to the dense eigensolve that validates it, so it stays
+    an independent check on the closed-form entropy.
     """
     if not 1 <= n <= BRUTE_FORCE_MAX_N:
         raise InputError(f"n = {n} outside [1, {BRUTE_FORCE_MAX_N}]")
-    single = np.stack(
-        [encode_bit(0, theta).amps.real, encode_bit(1, theta).amps.real], axis=1
-    )
-    columns = np.array([[1.0]])
-    for _ in range(n):
-        columns = np.kron(columns, single)
-    return DensityMatrix((columns @ columns.T) / 2**n)
+    e0 = encode_bit(0, theta).amps.real
+    e1 = encode_bit(1, theta).amps.real
+    single = (np.outer(e0, e0) + np.outer(e1, e1)) / 2.0
+    mixture = single
+    for _ in range(n - 1):
+        mixture = np.kron(mixture, single)
+    return DensityMatrix(mixture)
 
 
 def holevo_bound1(n: int, theta: float, cross_check: bool = False) -> float:

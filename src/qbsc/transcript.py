@@ -102,16 +102,30 @@ def matrix_pairs(op: DensityMatrix) -> list[list[list[float]]]:
     ]
 
 
+def _complex_from_pair(pair) -> complex:
+    """One serialized ``[re, im]`` entry.  Non-finite parts are left to the
+    state's own validation, which rejects them."""
+    try:
+        re, im = pair
+        return complex(re, im)  # strings, None and lists raise TypeError
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"entry {pair!r} is not an [re, im] pair of numbers") from exc
+
+
 def ket_from_pairs(pairs) -> Ket:
-    amps = np.array([complex(float(re), float(im)) for re, im in pairs])
-    return Ket(amps)
+    if not isinstance(pairs, (list, tuple)):
+        raise InputError("state amplitudes must be a list of [re, im] pairs")
+    return Ket(np.array([_complex_from_pair(pair) for pair in pairs]))
 
 
 def matrix_from_pairs(rows) -> DensityMatrix:
-    mat = np.array(
-        [[complex(float(re), float(im)) for re, im in row] for row in rows]
+    if not isinstance(rows, (list, tuple)) or any(
+        not isinstance(row, (list, tuple)) or len(row) != len(rows) for row in rows
+    ):
+        raise InputError("density matrix entries must be a square list of rows")
+    return DensityMatrix(
+        np.array([[_complex_from_pair(pair) for pair in row] for row in rows])
     )
-    return DensityMatrix(mat)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,21 @@ class TestSessionFlow:
             assert run("verify", "--transcript", t) == 2
             assert "unveil" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "qubit", [[1], [[1, 0], [0]], [[float("nan"), 0.0], [0.0, 0.0]]]
+    )
+    def test_malformed_qubit_entry_input_error(self, tmp_path, capsys, qubit):
+        t = tmp_path / "session.json"
+        run("commit", "--bits", "10", "--theta", 0.2, "--seed", 1,
+            "--transcript", t)
+        run("unveil", "--transcript", t, "--bits", "10")
+        payload = json.loads(t.read_text())
+        payload["commit"]["message"]["qubits"][0] = qubit
+        t.write_text(json.dumps(payload))
+        assert run("verify", "--transcript", t) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
         other = tmp_path / "other.json"
         run("codebook", "gen", "--n", 32, "--k", 6, "--epsilon", 0.5,
@@ -198,6 +213,30 @@ class TestBoundsCommand:
                 "--seed", 9, "--out", tmp_path / name)
         assert (tmp_path / "x.json").read_text() == (tmp_path / "y.json").read_text()
         assert (tmp_path / "x.csv").read_text() == (tmp_path / "y.csv").read_text()
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_cheat_samples_below_one_rejected_before_any_row(
+        self, tmp_path, codebook_path, monkeypatch, capsys, samples
+    ):
+        from qbsc import harness
+
+        def never(*args):
+            raise AssertionError("row computed before the flags were checked")
+
+        monkeypatch.setattr(harness, "_protocol1_row", never)
+        out = tmp_path / "report"
+        assert run("bounds", "--theta", "0.2", "--n", "4", "--r", "2",
+                   "--codebook", codebook_path, "--cheat-samples", samples,
+                   "--out", out) == 2
+        assert "cheat_samples" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*"))
+
+    @pytest.mark.parametrize("n, r", [("2", "0"), ("2", "2,-1"), ("0,2", "1")])
+    def test_n_or_r_below_one_rejected(self, tmp_path, n, r):
+        out = tmp_path / "report"
+        assert run("bounds", "--theta", "0.2", "--n", n, "--r", r,
+                   "--out", out) == 2
+        assert not list(tmp_path.glob("report*"))
 
     def test_empty_grid_rejected(self, tmp_path):
         assert run("bounds", "--theta", "abc", "--n", "2", "--r", "1",

@@ -49,6 +49,11 @@ class TestKet:
         with pytest.raises(InputError):
             Ket.normalize(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError):
+            Ket(np.array([bad, 0.0]))
+
     def test_amps_are_read_only(self):
         with pytest.raises(ValueError):
             E0.amps[0] = 2.0
@@ -188,10 +193,45 @@ class TestEigHermitian:
             assert first.real > 0
 
 
+class TestOperatorDtype:
+    def test_real_input_stays_real(self):
+        for raw in (np.eye(2), np.eye(2, dtype=int), [[0.5, 0.5], [0.5, 0.5]]):
+            assert HermitianOp(raw).mat.dtype == np.float64
+        assert DensityMatrix(np.diag([0.75, 0.25])).mat.dtype == np.float64
+
+    def test_complex_input_stays_complex(self):
+        op = HermitianOp(np.array([[1.0, 1j], [-1j, 1.0]]))
+        assert op.mat.dtype == np.complex128
+        rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+        assert rho.mat.dtype == np.complex128
+
+    def test_real_and_complex_copies_agree(self):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((6, 6))
+        real = DensityMatrix(g @ g.T / np.trace(g @ g.T))
+        cplx = DensityMatrix(real.mat.astype(complex))
+        assert np.max(np.abs(real.spectrum - cplx.spectrum)) <= 1e-14
+        assert von_neumann_entropy(real) == pytest.approx(
+            von_neumann_entropy(cplx), abs=1e-12
+        )
+
+
 class TestDensityMatrix:
     def test_rejects_bad_trace(self):
         with pytest.raises(InputError):
             DensityMatrix(np.eye(2))
+
+    # inf - inf in the Hermitian check raises NumPy's invalid-value warning
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.inf)])
+    def test_rejects_non_finite_entry(self, i, j, bad):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[i, j] = mat[j, i] = bad
+        with pytest.raises(InputError):
+            DensityMatrix(mat)
+        with pytest.raises(InputError):
+            HermitianOp(mat)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InputError):

@@ -167,6 +167,20 @@ class TestUniformCommitmentState:
             mix += projector(state).mat / 2**n
         assert np.max(np.abs(mix - rho.mat)) <= 1e-12
 
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 1.2])
+    def test_matches_column_product_build(self, theta):
+        # oracle: the columns of the n-fold Kronecker power of
+        # [encode(0) encode(1)] are all product states; mixture = C C^T / 2^n
+        single = np.stack(
+            [encode_bit(0, theta).amps.real, encode_bit(1, theta).amps.real], axis=1
+        )
+        columns = np.array([[1.0]])
+        for n in range(1, 9):
+            columns = np.kron(columns, single)
+            rho = uniform_commitment_state(n, theta)
+            assert rho.mat.dtype == np.float64
+            assert np.max(np.abs(rho.mat - columns @ columns.T / 2**n)) <= 1e-12
+
     def test_trace_one(self):
         rho = uniform_commitment_state(4, 0.2)
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-10)

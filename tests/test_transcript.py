@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbsc import InputError, Ket, PhaseOrderError, Transcript
+from qbsc import DensityMatrix, InputError, Ket, PhaseOrderError, Transcript
 from qbsc.harness import commit_session, unveil_session, verify_session
 from qbsc.transcript import (
     amplitude_pairs,
@@ -10,6 +10,8 @@ from qbsc.transcript import (
     derive_salt,
     format_float,
     ket_from_pairs,
+    matrix_from_pairs,
+    matrix_pairs,
 )
 
 
@@ -111,3 +113,30 @@ class TestTranscriptLifecycle:
         text = t.to_json().replace('"committed"', '"limbo"')
         with pytest.raises(InputError):
             Transcript.from_json(text)
+
+
+class TestStatePairs:
+    def test_matrix_pairs_same_for_real_and_complex_density(self):
+        real = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
+        cplx = DensityMatrix(real.mat.astype(np.complex128))
+        assert real.mat.dtype == np.float64
+        assert canonical_json(matrix_pairs(real)) == canonical_json(matrix_pairs(cplx))
+        assert np.array_equal(matrix_from_pairs(matrix_pairs(real)).mat, cplx.mat)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[1], [[1, 0], [0]], [[float("nan"), 0.0], [0.0, 0.0]],
+         [[1, 0], [0, float("inf")]], [["1", 0], [0, 0]], [[None, 0]], [], 7],
+    )
+    def test_malformed_amplitudes_rejected(self, pairs):
+        with pytest.raises(InputError):
+            ket_from_pairs(pairs)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[[1, 0]]] * 2, [[[1, 0], [0, 0]], [[0, 0]]], 3, [[1]],
+         [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]],
+    )
+    def test_malformed_matrix_entries_rejected(self, rows):
+        with pytest.raises(InputError):
+            matrix_from_pairs(rows)
