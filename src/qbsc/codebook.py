@@ -10,8 +10,13 @@ enumeration, which works on the generator rows packed into 64-bit words:
 a table of all XOR combinations of the low rows is built by doubling, each
 combination of the high rows is XORed into it, and popcounts give the
 weights.  Each certified number is enumerated once and then cross-checked
-against directly computed inner products; the dense per-message product
-``bits @ G mod 2`` remains only as the tests' oracle.
+against directly computed inner products of 100 seeded pairs, whose
+codewords are built in two batched calls.  A batch of codewords comes from
+the generator rows held as ``m``-bit integers: each message XORs the rows it
+selects, and one ``unpackbits`` turns the batch into a bit matrix.  Stored
+generator rows are hex strings of exactly ``ceil(m/4)`` lowercase digits,
+written and read through ``packbits``/``unpackbits``.  The dense per-message
+product ``bits @ G mod 2`` remains only as the tests' oracle.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
 ``numpy.random.SeedSequence``; attempt ``i`` of a certification run uses the
@@ -23,9 +28,11 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,7 @@ DEFAULT_ATTEMPT_CAP = 500
 OVERLAP_IDENTITY_TOL = 1e-12
 _CROSSCHECK_PAIRS = 100
 _XOR_TABLE_ROWS = 12  # 4096 codewords per block of the weight enumeration
+_HEX_DIGITS = frozenset("0123456789abcdef")
 # spawn tags reserved on top of attempt indices
 _TAG_CROSSCHECK = 0x636B  # "ck"
 
@@ -79,18 +87,35 @@ def rank_gf2(mat: np.ndarray) -> int:
     return rank
 
 
+def _row_value(row: np.ndarray) -> int:
+    """A bit row as an integer whose most significant bit is bit 0."""
+    return int.from_bytes(np.packbits(row).tobytes(), "big") >> (-row.size % 8)
+
+
+def _value_rows(values, m: int) -> np.ndarray:
+    """``(len(values), m)`` uint8 bit rows of ``m``-bit integers, inverse of
+    :func:`_row_value`."""
+    width = (m + 7) // 8
+    raw = b"".join([value.to_bytes(width, "big") for value in values])
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    return bits.reshape(len(values), 8 * width)[:, 8 * width - m :]
+
+
 def _row_to_hex(row: np.ndarray) -> str:
-    value = 0
-    for bit in row:
-        value = (value << 1) | int(bit)
-    digits = max(1, (row.size + 3) // 4)
-    return format(value, f"0{digits}x")
+    return format(_row_value(row), f"0{max(1, (row.size + 3) // 4)}x")
 
 
 def _hex_to_row(text: str, m: int) -> np.ndarray:
+    """Bits of a stored row: exactly ``ceil(m/4)`` lowercase hex digits with
+    a value below ``2^m``."""
+    digits = (m + 3) // 4
+    canonical = isinstance(text, str) and len(text) == digits
+    if not (canonical and _HEX_DIGITS.issuperset(text)):
+        raise InputError(f"generator row {text!r} is not {digits} lowercase hex digits")
     value = int(text, 16)
-    bits = [(value >> (m - 1 - i)) & 1 for i in range(m)]
-    return np.array(bits, dtype=np.uint8)
+    if value >> m:
+        raise InputError(f"generator row {text!r} exceeds {m} bits")
+    return _value_rows([value], m)[0]
 
 
 @dataclass(frozen=True)
@@ -126,6 +151,9 @@ class BinaryCode:
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "length", m)
+        # rows as m-bit integers, last row first, so that bit i of a message
+        # (least significant first) selects entry i
+        object.__setattr__(self, "_row_values", tuple(_row_value(r) for r in gen[::-1]))
 
     @property
     def k(self) -> int:
@@ -135,21 +163,28 @@ class BinaryCode:
     def m(self) -> int:
         return self.length
 
-    def message_bits(self, message: int) -> np.ndarray:
-        """Big-endian bit expansion of a message index."""
-        if not 0 <= message < 2**self.k:
-            raise InputError(f"message {message} out of range for k={self.k}")
-        return np.array(
-            [(message >> (self.k - 1 - i)) & 1 for i in range(self.k)],
-            dtype=np.uint8,
-        )
+    def codewords(self, messages) -> np.ndarray:
+        """``(len(messages), m)`` uint8 codewords of big-endian message indices.
+
+        Each codeword is the XOR of the packed generator rows its message
+        selects; the whole batch is unpacked to bits at once.
+        """
+        size = 2**self.k
+        words = []
+        for message in messages:
+            x = operator.index(message)
+            if not 0 <= x < size:
+                raise InputError(f"message {message} out of range for k={self.k}")
+            word = 0
+            for row in self._row_values:
+                if x & 1:
+                    word ^= row
+                x >>= 1
+            words.append(word)
+        return _value_rows(words, self.m)
 
     def codeword(self, message: int) -> np.ndarray:
-        if self.k == 0:
-            if message != 0:
-                raise InputError("k = 0 code has a single message")
-            return np.zeros(self.m, dtype=np.uint8)
-        return (self.message_bits(message) @ self.generator) % 2
+        return self.codewords((message,))[0]
 
     def nonzero_codeword_weights(self) -> np.ndarray:
         """Hamming weights of all 2^k - 1 nonzero codewords in message order.
@@ -234,8 +269,7 @@ class Codebook:
 
     def state(self, index: int) -> Ket:
         """State for one message index (amplitudes +-1/sqrt(m))."""
-        c = self.code.codeword(index)
-        return Ket((1.0 - 2.0 * c.astype(float)) / math.sqrt(self.code.m))
+        return Ket(_amplitudes(self.code.codeword(index)))
 
     def to_json(self) -> str:
         payload = {
@@ -291,7 +325,17 @@ class Codebook:
         return cb
 
     def content_id(self) -> str:
+        """SHA-256 of the JSON document, computed once per codebook."""
+        return self._content_id
+
+    @functools.cached_property
+    def _content_id(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
+def _amplitudes(words: np.ndarray) -> np.ndarray:
+    """Sign-pattern amplitudes +-1/sqrt(m) of codeword bits (last axis)."""
+    return (1.0 - 2.0 * words.astype(float)) / math.sqrt(words.shape[-1])
 
 
 def _epsilon_from_weights(code: BinaryCode) -> float:
@@ -330,7 +374,10 @@ def verify_epsilon(cb: Codebook) -> float:
 
 def _crosscheck_pairs(cb: Codebook, epsilon: float) -> None:
     """Check seeded random pairs' direct inner products against the overlap
-    identity and against the enumerated ``epsilon``."""
+    identity and against the enumerated ``epsilon``.
+
+    Both sides' codewords come from one batched call each.
+    """
     if cb.size < 2:
         return
     rng = np.random.Generator(
@@ -338,13 +385,16 @@ def _crosscheck_pairs(cb: Codebook, epsilon: float) -> None:
             np.random.SeedSequence(cb.code.seed, spawn_key=(_TAG_CROSSCHECK,))
         )
     )
+    pairs = []
     for _ in range(_CROSSCHECK_PAIRS):
         i = int(rng.integers(0, cb.size))
         j = int(rng.integers(0, cb.size - 1))
-        if j >= i:
-            j += 1
-        direct = float(np.vdot(cb.state(i).amps, cb.state(j).amps).real)
-        d = int(np.sum(cb.code.codeword(i) != cb.code.codeword(j)))
+        pairs.append((i, j + (j >= i)))
+    words_i = cb.code.codewords([i for i, _ in pairs])
+    words_j = cb.code.codewords([j for _, j in pairs])
+    overlaps = np.einsum("pa,pa->p", _amplitudes(words_i), _amplitudes(words_j))
+    distances = np.count_nonzero(words_i != words_j, axis=1)
+    for (i, j), direct, d in zip(pairs, overlaps.tolist(), distances.tolist()):
         predicted = 1.0 - 2.0 * d / cb.code.m
         if abs(direct - predicted) > OVERLAP_IDENTITY_TOL:
             raise NumericalError(

@@ -93,8 +93,10 @@ def unveil_session(transcript: Transcript, claimed: str) -> Transcript:
 def _reconstruct_commitment(
     transcript: Transcript, codebook: Codebook | None
 ):
-    message = transcript.commit["message"]
-    kind = message["kind"]
+    message = transcript.commit.get("message")
+    if not isinstance(message, dict):
+        raise InputError("commit.message must be an object")
+    kind = message.get("kind")
     if transcript.protocol == 1:
         params = SecurityParams(
             theta=float(transcript.params["theta"]),
@@ -102,12 +104,16 @@ def _reconstruct_commitment(
             r=int(transcript.params["r"]),
         )
         if kind == "qubit_amplitudes":
-            qubits = tuple(ket_from_pairs(q) for q in message["qubits"])
+            parse = ket_from_pairs
         elif kind == "qubit_density_matrices":
-            qubits = tuple(matrix_from_pairs(q) for q in message["qubits"])
+            parse = matrix_from_pairs
         else:
             raise InputError(f"unknown protocol 1 message kind {kind!r}")
-        return Commitment1(qubits=qubits, params=params)
+        if not isinstance(message.get("qubits"), list):
+            raise InputError("commit.message.qubits must be a list")
+        return Commitment1(
+            qubits=tuple(parse(q) for q in message["qubits"]), params=params
+        )
     if codebook is None:
         raise InputError("verifying a protocol 2 transcript needs the codebook")
     if codebook.content_id() != transcript.params["codebook_id"]:
@@ -144,6 +150,9 @@ def verify_session(
         )
     claimed = transcript.unveil["claimed"]
     commitment = _reconstruct_commitment(transcript, codebook)
+    seed = transcript.seeds.get("session")
+    if mode == "sampled" and not isinstance(seed, int):
+        raise InputError("sampled verification needs an integer seeds.session")
     if transcript.protocol == 1:
         exact = protocol1.verify_unveil(commitment, claimed, mode="exact")
         verdict = None
@@ -152,7 +161,7 @@ def verify_session(
                 commitment,
                 claimed,
                 mode="sampled",
-                rng=verification_rng(int(transcript.seeds["session"])),
+                rng=verification_rng(seed),
             )
     else:
         exact = protocol2.verify_unveil2(commitment, claimed, mode="exact")
@@ -162,7 +171,7 @@ def verify_session(
                 commitment,
                 claimed,
                 mode="sampled",
-                rng=verification_rng(int(transcript.seeds["session"])),
+                rng=verification_rng(seed),
             )
     return transcript.with_verification(
         {

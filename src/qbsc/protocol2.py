@@ -148,7 +148,7 @@ def cheat_set_gram(cb: Codebook, s: CheatSet) -> np.ndarray:
     the nonzero spectrum of :func:`q_operator`.
     """
     _check_indices(cb, s)
-    words = np.stack([cb.code.codeword(i) for i in s.indices]).astype(np.int64)
+    words = cb.code.codewords(s.indices).astype(np.int64)
     distances = words @ (1 - words).T + (1 - words) @ words.T
     return 1.0 - 2.0 * distances / cb.code.m
 

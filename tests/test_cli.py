@@ -100,6 +100,38 @@ class TestSessionFlow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("message", [{"kind": "qubit_amplitudes", "qubits": 5},
+                                         {"kind": "qubit_density_matrices"},
+                                         "qubits", None])
+    def test_malformed_protocol1_message_input_error(self, tmp_path, capsys, message):
+        t = tmp_path / "session.json"
+        run("commit", "--bits", "10", "--theta", 0.2, "--seed", 1,
+            "--transcript", t)
+        run("unveil", "--transcript", t, "--bits", "10")
+        payload = json.loads(t.read_text())
+        payload["commit"]["message"] = message
+        t.write_text(json.dumps(payload))
+        assert run("verify", "--transcript", t) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "commit.message" in err
+
+    @pytest.mark.parametrize("seeds", [{}, {"session": None}, {"session": "4"}])
+    def test_sampled_verify_without_session_seed_input_error(
+        self, tmp_path, codebook_path, capsys, seeds
+    ):
+        t = tmp_path / "session2.json"
+        run("commit", "--protocol", 2, "--bits", "101101",
+            "--codebook", codebook_path, "--seed", 4, "--transcript", t)
+        run("unveil", "--transcript", t, "--bits", "101101")
+        payload = json.loads(t.read_text())
+        payload["seeds"] = seeds
+        t.write_text(json.dumps(payload))
+        assert run("verify", "--transcript", t, "--codebook", codebook_path,
+                   "--mode", "sampled") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seeds.session" in err
+        assert run("verify", "--transcript", t, "--codebook", codebook_path) == 0
+
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
         other = tmp_path / "other.json"
         run("codebook", "gen", "--n", 32, "--k", 6, "--epsilon", 0.5,
@@ -144,6 +176,29 @@ class TestCodebookCommands:
         bad = tmp_path / "tampered.json"
         bad.write_text(json.dumps(payload))
         assert run("codebook", "verify", "--codebook", bad) == 4
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda row: "f" + row,  # wide: the old parser dropped the extra digit
+            lambda row: "-" + row[1:],  # negative
+            lambda row: row[1:],  # short
+            lambda row: row.upper(),  # uppercase
+        ],
+        ids=["wide", "negative", "short", "uppercase"],
+    )
+    @pytest.mark.parametrize("action", ["verify", "info"])
+    def test_non_canonical_generator_rows_input_error(
+        self, tmp_path, codebook_path, capsys, rewrite, action
+    ):
+        payload = json.loads(codebook_path.read_text())
+        assert any(c in "abcdef" for row in payload["generator"] for c in row)
+        payload["generator"] = [rewrite(row) for row in payload["generator"]]
+        bad = tmp_path / "noncanonical.json"
+        bad.write_text(json.dumps(payload))
+        assert run("codebook", action, "--codebook", bad) == 2
+        captured = capsys.readouterr()
+        assert "generator row" in captured.err and "content_id" not in captured.out
 
     def test_gen_beyond_exhaustive_regime_rejected_before_enumeration(
         self, tmp_path, monkeypatch

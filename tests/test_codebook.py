@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,10 @@ from qbsc import (
     rank_gf2,
     verify_epsilon,
 )
+from qbsc import codebook as codebook_module
+from qbsc import protocol2
+from qbsc.codebook import _crosscheck_pairs, _hex_to_row, _row_to_hex
+from qbsc.errors import NumericalError
 
 # 4x16 generator whose 15 nonzero codeword weights span exactly [6, 10]
 PINNED_4x16 = np.array(
@@ -286,3 +291,228 @@ class TestJsonRoundTrip:
             Codebook.from_json("{not json")
         with pytest.raises(InputError):
             Codebook.from_json('{"version": 1}')
+
+
+def dense_codewords(code, messages):
+    """Oracle: ``(bits @ G) % 2`` for each big-endian message."""
+    k = code.k
+    msgs = np.asarray(messages, dtype=np.int64)
+    bits = ((msgs[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+    return (bits @ code.generator) % 2
+
+
+class TestBatchedCodewords:
+    """``codewords`` against the dense product, message by message."""
+
+    @pytest.mark.parametrize(
+        "k, m",
+        [(1, 1), (3, 9), (9, 9), (5, 77), (12, 77), (8, 130), (12, 130), (12, 203)],
+    )
+    def test_every_message_matches_dense_product(self, k, m):
+        code = generate_code(k, m, seed=100 * k + m)
+        messages = list(range(2**k))
+        words = code.codewords(messages)
+        assert words.dtype == np.uint8 and words.shape == (2**k, m)
+        assert np.array_equal(words, dense_codewords(code, messages))
+        for x in (0, 1, 2**k - 1):
+            assert np.array_equal(code.codeword(x), words[x])
+
+    @pytest.mark.parametrize("m", [77, 130, 203])
+    def test_sampled_messages_at_k16(self, m):
+        code = generate_code(16, m, seed=m)
+        messages = np.random.default_rng(m).integers(0, 2**16, size=500)
+        assert np.array_equal(
+            code.codewords(messages), dense_codewords(code, messages)
+        )
+
+    @pytest.mark.parametrize("m", [1, 9, 77, 130, 203])
+    def test_k0_code_has_only_the_zero_word(self, m):
+        code = BinaryCode(generator=np.zeros((0, m), dtype=np.uint8), seed=0, length=m)
+        assert np.array_equal(code.codewords([0, 0]), np.zeros((2, m), dtype=np.uint8))
+        with pytest.raises(InputError):
+            code.codeword(1)
+
+    def test_empty_batch(self):
+        code = generate_code(4, 9, seed=1)
+        assert code.codewords([]).shape == (0, 9)
+
+    @pytest.mark.parametrize("message", [-1, 2**6, 2**70, -(2**70)])
+    def test_out_of_range_messages_rejected(self, message):
+        code = generate_code(6, 32, seed=1)
+        with pytest.raises(InputError):
+            code.codewords([0, message])
+        with pytest.raises(InputError):
+            code.codeword(message)
+
+
+def old_row_to_hex(row):
+    """The bit-by-bit writer the packed codec replaced."""
+    value = 0
+    for bit in row:
+        value = (value << 1) | int(bit)
+    return format(value, f"0{max(1, (row.size + 3) // 4)}x")
+
+
+def old_hex_to_row(text, m):
+    value = int(text, 16)
+    return np.array([(value >> (m - 1 - i)) & 1 for i in range(m)], dtype=np.uint8)
+
+
+class TestHexCodec:
+    @pytest.mark.parametrize("m", [1, 4, 8, 9, 32, 77, 130, 203])
+    def test_round_trip_matches_bit_loop(self, m):
+        rng = np.random.default_rng(m)
+        rows = [np.zeros(m, np.uint8), np.ones(m, np.uint8)]
+        rows += [rng.integers(0, 2, size=m, dtype=np.uint8) for _ in range(20)]
+        for row in rows:
+            text = _row_to_hex(row)
+            assert text == old_row_to_hex(row)
+            assert np.array_equal(_hex_to_row(text, m), old_hex_to_row(text, m))
+            assert np.array_equal(_hex_to_row(text, m), row)
+
+    @pytest.mark.parametrize(
+        "text, m",
+        [
+            ("0f6c486c79", 32),  # wide, same value
+            ("f6c486c79", 32),  # wide
+            ("-6c486c79", 32),  # negative
+            ("6c486c7", 32),  # short
+            ("6C486C79", 32),  # uppercase
+            ("0x486c79", 32),  # prefix
+            ("6c48 c79", 32),  # whitespace
+            ("6c48_c79", 32),  # underscore
+            ("200", 9),  # value 2^9
+            ("f", 1),  # value above 2^1
+            (12, 8),  # not a string
+        ],
+    )
+    def test_non_canonical_rows_rejected(self, text, m):
+        with pytest.raises(InputError):
+            _hex_to_row(text, m)
+
+
+def old_crosscheck_pairs(cb):
+    """The pair draws of the per-pair loop the batched check replaced."""
+    rng = np.random.Generator(
+        np.random.Philox(
+            np.random.SeedSequence(
+                cb.code.seed, spawn_key=(codebook_module._TAG_CROSSCHECK,)
+            )
+        )
+    )
+    pairs = []
+    for _ in range(100):
+        i = int(rng.integers(0, cb.size))
+        j = int(rng.integers(0, cb.size - 1))
+        if j >= i:
+            j += 1
+        pairs.append((i, j))
+    return pairs
+
+
+def record_codewords(monkeypatch, alter=None):
+    """Record each ``codewords`` batch; ``alter(call, messages, words)`` may
+    return a replacement result."""
+    batches = []
+    original = BinaryCode.codewords
+
+    def wrapper(self, messages):
+        messages = list(messages)
+        words = original(self, messages)
+        batches.append(messages)
+        if alter is not None:
+            words = alter(len(batches) - 1, messages, words)
+        return words
+
+    monkeypatch.setattr(BinaryCode, "codewords", wrapper)
+    return batches
+
+
+class TestCrosscheck:
+    @pytest.mark.parametrize("n, eps, k, seed", [(32, 0.5, 6, 1), (512, 0.4, 12, 4)])
+    def test_draws_the_pairs_of_the_per_pair_loop(self, monkeypatch, n, eps, k, seed):
+        cb = generate_certified_codebook(n, eps, k, seed)
+        batches = record_codewords(monkeypatch)
+        _crosscheck_pairs(cb, cb.epsilon_certified)
+        pairs = old_crosscheck_pairs(cb)
+        assert batches == [[i for i, _ in pairs], [j for _, j in pairs]]
+
+    def test_corrupted_codeword_names_its_pair(self, monkeypatch):
+        cb = generate_certified_codebook(32, 0.5, 6, seed=1)
+        pairs = old_crosscheck_pairs(cb)
+        p = 37
+        i, j = pairs[p]
+
+        def alias_pair(call, messages, words):
+            if call == 0:  # the i side: make word p equal to its partner's
+                words = words.copy()
+                words[p] = cb.code.codewords([j])[0]
+            return words
+
+        record_codewords(monkeypatch, alias_pair)
+        named = rf"pair \({i}, {j}\) overlap \S+ exceeds"
+        with pytest.raises(NumericalError, match=named):
+            _crosscheck_pairs(cb, cb.epsilon_certified)
+
+    def test_broken_amplitude_violates_identity(self, monkeypatch):
+        cb = generate_certified_codebook(32, 0.5, 6, seed=1)
+        i, j = old_crosscheck_pairs(cb)[0]
+        original = codebook_module._amplitudes
+        sides = []
+
+        def flip_first_sign_of_i_side(words):
+            amps = original(words)
+            if not sides:
+                amps[0, 0] = -amps[0, 0]
+            sides.append(words)
+            return amps
+
+        monkeypatch.setattr(codebook_module, "_amplitudes", flip_first_sign_of_i_side)
+        named = rf"identity violated for pair \({i}, {j}\)"
+        with pytest.raises(NumericalError, match=named):
+            _crosscheck_pairs(cb, cb.epsilon_certified)
+
+
+def counting_method(monkeypatch, cls, name, calls):
+    original = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+class TestNoPerMessageWork:
+    """The certificate and the Gram matrix take their codewords in batches."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        counting_method(monkeypatch, BinaryCode, "codewords", calls)
+        counting_method(monkeypatch, BinaryCode, "codeword", calls)
+        counting_method(monkeypatch, Codebook, "state", calls)
+        return calls
+
+    def test_certificate(self, calls):
+        cb = generate_certified_codebook(64, 0.75, 5, seed=9)
+        assert calls == ["codewords"] * 2
+        verify_epsilon(Codebook.from_json(cb.to_json()))
+        assert calls == ["codewords"] * 4
+
+    def test_cheat_set_gram(self, calls):
+        cb = generate_certified_codebook(32, 0.5, 6, seed=1)
+        calls.clear()
+        protocol2.cheat_set_gram(cb, protocol2.cheat_set_for(cb, [3, 17, 40]))
+        assert calls == ["codewords"]
+
+
+class TestContentId:
+    def test_hashed_once_per_codebook(self, monkeypatch):
+        cb = generate_certified_codebook(32, 0.5, 6, seed=1)
+        text = cb.to_json()
+        calls = []
+        counting_method(monkeypatch, Codebook, "to_json", calls)
+        assert cb.content_id() == hashlib.sha256(text.encode()).hexdigest()
+        assert cb.content_id() == hashlib.sha256(text.encode()).hexdigest()
+        assert calls == ["to_json"]
