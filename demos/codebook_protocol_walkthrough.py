@@ -32,9 +32,9 @@ print()
 bits = "101101"
 commitment = commit2(bits, cb)
 print(f"committed {bits!r}; honest unveil accepts with probability",
-      verify_unveil2(commitment, bits))
+      verify_unveil2(commitment, bits)[0])
 print(f"claiming '101100' instead accepts with probability",
-      f"{verify_unveil2(commitment, '101100'):.6f}",
+      f"{verify_unveil2(commitment, '101100')[0]:.6f}",
       f"(<= epsilon^2 = {cb.epsilon_certified**2:.6f})")
 print()
 

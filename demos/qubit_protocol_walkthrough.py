@@ -30,11 +30,11 @@ print()
 bits = "10110100"
 commitment = commit(bits, params)
 print(f"committed {bits!r}; honest unveil accepts with probability",
-      verify_unveil(commitment, bits))
+      verify_unveil(commitment, bits)[0])
 
 claim = "10110101"  # one flipped bit costs sin^2(theta)
 print(f"claiming {claim!r} instead accepts with probability",
-      f"{verify_unveil(commitment, claim):.6f}",
+      f"{verify_unveil(commitment, claim)[0]:.6f}",
       f"(sin^2 theta = {math.sin(theta)**2:.6f})")
 print()
 

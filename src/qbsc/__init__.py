@@ -8,7 +8,6 @@ from .adversary import (
     brute_force_guess_all,
     custom_state_strategy,
     guess_all_oracle,
-    helstrom_two_state,
     optimal_cheat_state,
     run_cheat_session,
     top_eigenvector_strategy,
@@ -39,12 +38,7 @@ from .linalg import (
     Ket,
     binary_entropy,
     eig_hermitian,
-    inner,
     projector,
-    random_density_matrix,
-    random_ket,
-    tensor,
-    tensor_op,
     von_neumann_entropy,
 )
 from .protocol1 import (
@@ -76,7 +70,6 @@ from .protocol2 import (
     equality_configuration,
     hiding_bound2,
     q_operator,
-    rayleigh_quotient_terms,
     verify_unveil2,
 )
 from .transcript import Transcript

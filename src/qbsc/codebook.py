@@ -19,11 +19,12 @@ written and read through ``packbits``/``unpackbits``.  The dense per-message
 product ``bits @ G mod 2`` remains only as the tests' oracle.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
-``numpy.random.SeedSequence``; attempt ``i`` of a certification run uses the
-root seed itself for ``i = 0`` and ``SeedSequence(root, spawn_key=(i,))``
-folded to a 64-bit integer for ``i > 0``.  Every codebook records the scheme
-identifier, the root seed and the attempt count, so certificates are
-reproducible bit for bit.
+``numpy.random.SeedSequence``; :func:`make_rng` builds every generator of the
+package, sessions and reports included.  Attempt ``i`` of a certification
+run uses the root seed itself for ``i = 0`` and ``SeedSequence(root,
+spawn_key=(i,))`` folded to a 64-bit integer for ``i > 0``.  Every codebook
+records the scheme identifier, the root seed and the attempt count, so
+certificates are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -53,9 +54,15 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 _TAG_CROSSCHECK = 0x636B  # "ck"
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Philox generator keyed by a SeedSequence over the given seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def make_rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """Philox generator keyed by ``SeedSequence(seed, spawn_key=spawn_key)``.
+
+    Every random stream of the package comes from here: a seed names a
+    stream and a spawn tag names one of its independent children.
+    """
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    )
 
 
 def derive_seed(root: int, attempt: int) -> int:
@@ -380,11 +387,7 @@ def _crosscheck_pairs(cb: Codebook, epsilon: float) -> None:
     """
     if cb.size < 2:
         return
-    rng = np.random.Generator(
-        np.random.Philox(
-            np.random.SeedSequence(cb.code.seed, spawn_key=(_TAG_CROSSCHECK,))
-        )
-    )
+    rng = make_rng(cb.code.seed, _TAG_CROSSCHECK)
     pairs = []
     for _ in range(_CROSSCHECK_PAIRS):
         i = int(rng.integers(0, cb.size))

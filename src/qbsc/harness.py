@@ -1,11 +1,16 @@
 """Reproducible experiment driver: sessions and bound-sweep reports.
 
-Sessions move a transcript through commit, unveil and verify; reports sweep
-a parameter grid and put the analytic cap next to an exact oracle on every
-row.  One column pair is informational rather than gated: the exact
-all-bits guessing probability can exceed the entropy-based all-bits figure
-for long strings, so the sweep reports both and counts the uncovered rows
-instead of failing on them.
+Sessions move a transcript through commit, unveil and verify.  This module
+owns the commit message format: :func:`committed_transcript` serialises what
+a committer sends, honest or cheating, and :func:`verify_session` measures
+the commitment rebuilt from that serialised message, so every verdict is
+taken on what the transcript records.
+
+Reports sweep a parameter grid and put the analytic cap next to an exact
+oracle on every row.  One column pair is informational rather than gated:
+the exact all-bits guessing probability can exceed the entropy-based
+all-bits figure for long strings, so the sweep reports both and counts the
+uncovered rows instead of failing on them.
 """
 
 from __future__ import annotations
@@ -16,24 +21,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary, protocol1, protocol2
-from .codebook import Codebook, verify_epsilon
+from .codebook import Codebook, make_rng, verify_epsilon
 from .errors import InputError, PhaseOrderError
-from .linalg import von_neumann_entropy
+from .linalg import DensityMatrix, Ket, von_neumann_entropy
 from .protocol1 import Commitment1, SecurityParams
 from .protocol2 import Commitment2
 from .transcript import (
+    REAL,
+    TAG_VERIFY,
     Transcript,
     amplitude_pairs,
     canonical_json,
     commitment_hash,
     derive_salt,
+    field,
     format_float,
     ket_from_pairs,
     matrix_from_pairs,
-    verification_rng,
+    matrix_pairs,
 )
 
 SOUND_TOL = 1e-8
+
+
+def committed_transcript(
+    protocol: int,
+    seed: int,
+    sent,
+    params: SecurityParams | None = None,
+    codebook: Codebook | None = None,
+    bits: str | None = None,
+    strategy: dict | None = None,
+) -> Transcript:
+    """A transcript in phase ``committed`` for the message ``sent``.
+
+    ``sent`` is what the committer transmits: the tuple of qubits for
+    protocol 1 (with ``params``), and a codebook index or one state for
+    protocol 2 (with ``codebook``).  Honest committers name their ``bits``,
+    which are bound by a salted hash; cheat sessions commit to no string and
+    carry their ``strategy`` record instead.
+    """
+    salt = digest = None
+    if bits is not None:
+        salt = derive_salt(seed)
+        digest = commitment_hash(salt, bits)
+    if protocol == 1:
+        record = {"theta": params.theta, "n": params.n, "r": params.r}
+    else:
+        record = {
+            "epsilon": codebook.epsilon_certified,
+            "dim": codebook.dim,
+            "capacity": protocol2.capacity(codebook),
+            "codebook_id": codebook.content_id(),
+        }
+    return Transcript(
+        protocol=protocol,
+        phase="committed",
+        params=record,
+        seeds={"session": int(seed)},
+        commit={
+            "message": _encode_message(protocol, sent),
+            "string_sha256": digest,
+            "salt": salt,
+        },
+        strategy=strategy,
+    )
 
 
 def commit_session(
@@ -45,63 +97,64 @@ def commit_session(
     codebook: Codebook | None = None,
 ) -> Transcript:
     """Honest commit phase; returns a transcript in phase ``committed``."""
-    salt = derive_salt(seed)
-    digest = commitment_hash(salt, bits)
+    params = None
     if protocol == 1:
         if theta is None:
             raise InputError("protocol 1 commits need theta")
         params = SecurityParams(theta=theta, n=len(bits), r=r)
-        commitment = protocol1.commit(bits, params)
-        message = {
-            "kind": "qubit_amplitudes",
-            "qubits": [amplitude_pairs(q) for q in commitment.qubits],
-        }
-        return Transcript(
-            protocol=1,
-            phase="committed",
-            params={"theta": params.theta, "n": params.n, "r": params.r},
-            seeds={"session": int(seed)},
-            commit={"message": message, "string_sha256": digest, "salt": salt},
-        )
-    if protocol == 2:
+        sent = protocol1.commit(bits, params).qubits
+    elif protocol == 2:
         if codebook is None:
             raise InputError("protocol 2 commits need a codebook")
-        index = protocol2.string_index(bits, protocol2.capacity(codebook))
-        return Transcript(
-            protocol=2,
-            phase="committed",
-            params={
-                "epsilon": codebook.epsilon_certified,
-                "dim": codebook.dim,
-                "capacity": protocol2.capacity(codebook),
-                "codebook_id": codebook.content_id(),
-            },
-            seeds={"session": int(seed)},
-            commit={
-                "message": {"kind": "codebook_index", "index": index},
-                "string_sha256": digest,
-                "salt": salt,
-            },
-        )
-    raise InputError(f"unknown protocol {protocol!r}")
+        sent = protocol2.string_index(bits, protocol2.capacity(codebook))
+    else:
+        raise InputError(f"unknown protocol {protocol!r}")
+    return committed_transcript(
+        protocol, seed, sent, params=params, codebook=codebook, bits=bits
+    )
 
 
 def unveil_session(transcript: Transcript, claimed: str) -> Transcript:
     return transcript.with_unveil(claimed)
 
 
+def _encode_message(protocol: int, sent) -> dict:
+    """The serialised commit message, read back by
+    :func:`_reconstruct_commitment`."""
+    if protocol == 1:
+        if all(isinstance(q, Ket) for q in sent):
+            return {
+                "kind": "qubit_amplitudes",
+                "qubits": [amplitude_pairs(q) for q in sent],
+            }
+        return {
+            "kind": "qubit_density_matrices",
+            "qubits": [matrix_pairs(q) for q in sent],
+        }
+    if isinstance(sent, int):
+        return {"kind": "codebook_index", "index": sent}
+    if isinstance(sent, DensityMatrix):
+        return {"kind": "state_density_matrix", "entries": matrix_pairs(sent)}
+    return {"kind": "state_amplitudes", "amplitudes": amplitude_pairs(sent)}
+
+
 def _reconstruct_commitment(
     transcript: Transcript, codebook: Codebook | None
 ):
+    """The commitment a transcript's message describes.
+
+    Every field is read strictly: integers must be JSON integers, ``theta`` a
+    JSON number, and a missing or mistyped field raises :class:`InputError`.
+    """
     message = transcript.commit.get("message")
     if not isinstance(message, dict):
         raise InputError("commit.message must be an object")
     kind = message.get("kind")
     if transcript.protocol == 1:
         params = SecurityParams(
-            theta=float(transcript.params["theta"]),
-            n=int(transcript.params["n"]),
-            r=int(transcript.params["r"]),
+            theta=float(field(transcript.params, "theta", REAL, "params")),
+            n=field(transcript.params, "n", int, "params"),
+            r=field(transcript.params, "r", int, "params"),
         )
         if kind == "qubit_amplitudes":
             parse = ket_from_pairs
@@ -109,23 +162,20 @@ def _reconstruct_commitment(
             parse = matrix_from_pairs
         else:
             raise InputError(f"unknown protocol 1 message kind {kind!r}")
-        if not isinstance(message.get("qubits"), list):
-            raise InputError("commit.message.qubits must be a list")
-        return Commitment1(
-            qubits=tuple(parse(q) for q in message["qubits"]), params=params
-        )
+        qubits = field(message, "qubits", list, "commit.message")
+        return Commitment1(qubits=tuple(parse(q) for q in qubits), params=params)
     if codebook is None:
         raise InputError("verifying a protocol 2 transcript needs the codebook")
-    if codebook.content_id() != transcript.params["codebook_id"]:
+    if codebook.content_id() != field(transcript.params, "codebook_id", str, "params"):
         raise InputError(
             "supplied codebook does not match the transcript's codebook_id"
         )
     if kind == "codebook_index":
-        state = codebook.state(int(message["index"]))
+        state = codebook.state(field(message, "index", int, "commit.message"))
     elif kind == "state_amplitudes":
-        state = ket_from_pairs(message["amplitudes"])
+        state = ket_from_pairs(field(message, "amplitudes", list, "commit.message"))
     elif kind == "state_density_matrix":
-        state = matrix_from_pairs(message["entries"])
+        state = matrix_from_pairs(field(message, "entries", list, "commit.message"))
     else:
         raise InputError(f"unknown protocol 2 message kind {kind!r}")
     return Commitment2(state=state, codebook=codebook)
@@ -148,37 +198,17 @@ def verify_session(
         raise PhaseOrderError(
             f"verify requires phase 'unveiled', transcript is '{transcript.phase}'"
         )
-    claimed = transcript.unveil["claimed"]
     commitment = _reconstruct_commitment(transcript, codebook)
-    seed = transcript.seeds.get("session")
-    if mode == "sampled" and not isinstance(seed, int):
-        raise InputError("sampled verification needs an integer seeds.session")
+    rng = None
+    if mode == "sampled":
+        rng = make_rng(field(transcript.seeds, "session", int, "seeds"), TAG_VERIFY)
     if transcript.protocol == 1:
-        exact = protocol1.verify_unveil(commitment, claimed, mode="exact")
-        verdict = None
-        if mode == "sampled":
-            verdict = protocol1.verify_unveil(
-                commitment,
-                claimed,
-                mode="sampled",
-                rng=verification_rng(seed),
-            )
+        verify = protocol1.verify_unveil
     else:
-        exact = protocol2.verify_unveil2(commitment, claimed, mode="exact")
-        verdict = None
-        if mode == "sampled":
-            verdict = protocol2.verify_unveil2(
-                commitment,
-                claimed,
-                mode="sampled",
-                rng=verification_rng(seed),
-            )
+        verify = protocol2.verify_unveil2
+    exact, verdict = verify(commitment, transcript.unveil["claimed"], rng)
     return transcript.with_verification(
-        {
-            "mode": mode,
-            "accept_probability": float(exact),
-            "verdict": None if verdict is None else bool(verdict),
-        }
+        {"mode": mode, "accept_probability": float(exact), "verdict": verdict}
     )
 
 
@@ -336,7 +366,7 @@ def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> dict:
             {"infeasible": True, "pass": recertified == eps, "_sound_violation": 0.0}
         )
         return row
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     worst = -math.inf
     violations = 0
     for _ in range(samples):

@@ -22,7 +22,6 @@ from .errors import InputError, NumericalError
 
 NORM_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
-MAX_TENSOR_DIM = 2**22
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -151,37 +150,9 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def inner(u: Ket, v: Ket) -> complex:
-    """Sesquilinear inner product, conjugate-linear in the first argument."""
-    if u.dim != v.dim:
-        raise InputError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    return complex(np.vdot(u.amps, v.amps))
-
-
 def projector(v: Ket) -> HermitianOp:
     """Rank-1 projector onto a normalized state."""
     return HermitianOp(np.outer(v.amps, v.amps.conj()))
-
-
-def tensor(a: Ket, b: Ket) -> Ket:
-    """Tensor product of two states; the first factor is the slow index."""
-    if a.dim * b.dim > MAX_TENSOR_DIM:
-        raise InputError(
-            f"tensor product dimension {a.dim * b.dim} exceeds {MAX_TENSOR_DIM}"
-        )
-    return Ket(np.kron(a.amps, b.amps))
-
-
-def tensor_op(a: HermitianOp, b: HermitianOp) -> HermitianOp:
-    """Tensor product of two operators, preserving the density-matrix type."""
-    if a.dim * b.dim > MAX_TENSOR_DIM:
-        raise InputError(
-            f"tensor product dimension {a.dim * b.dim} exceeds {MAX_TENSOR_DIM}"
-        )
-    product = np.kron(a.mat, b.mat)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(product)
-    return HermitianOp(product)
 
 
 def eig_hermitian(h: HermitianOp) -> tuple[np.ndarray, tuple[Ket, ...]]:
@@ -214,17 +185,3 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def random_ket(dim: int, rng: np.random.Generator) -> Ket:
-    """Haar-distributed random state."""
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket.normalize(raw)
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank density matrix from a normalized Ginibre product."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return DensityMatrix(rho)

@@ -7,7 +7,9 @@ claimed encoding and accepts only if every outcome is 1.
 
 Verification probabilities are evaluated on explicitly normalized projectors,
 which makes honest sessions accept with probability exactly 1.0 in floating
-point.
+point.  :func:`verify_unveil` computes them once and returns their product,
+together with a verdict sampled from the same probabilities when it is given
+a generator.
 """
 
 from __future__ import annotations
@@ -128,16 +130,14 @@ def projection_probability(template: Ket, state) -> float:
 def verify_unveil(
     commitment: Commitment1,
     claimed: str,
-    mode: str = "exact",
-    seed: int | None = None,
     rng: np.random.Generator | None = None,
-):
+) -> tuple[float, bool | None]:
     """Check a claimed string against a commitment.
 
-    ``exact`` mode returns the acceptance probability (the product of the
-    per-qubit projection probabilities).  ``sampled`` mode draws each
-    projective outcome independently and returns the verdict: accept only
-    if every outcome is 1.
+    Returns the acceptance probability (the product of the per-qubit
+    projection probabilities) and, when ``rng`` is given, a sampled verdict:
+    each projective outcome is drawn in qubit order, stopping at the first
+    0, and the claim is accepted only if every outcome is 1.
     """
     values = _parse_bits(claimed)
     if len(values) != commitment.params.n:
@@ -148,15 +148,8 @@ def verify_unveil(
         projection_probability(encode_bit(b, commitment.params.theta), q)
         for b, q in zip(values, commitment.qubits)
     ]
-    if mode == "exact":
-        return float(np.prod(probs))
-    if mode == "sampled":
-        if rng is None:
-            if seed is None:
-                raise InputError("sampled mode needs a seed or an rng")
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        return bool(all(rng.random() < p for p in probs))
-    raise InputError(f"unknown mode {mode!r}")
+    verdict = None if rng is None else all(rng.random() < p for p in probs)
+    return float(np.prod(probs)), verdict
 
 
 def binding_bound1(theta: float) -> float:

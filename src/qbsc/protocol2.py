@@ -5,7 +5,9 @@ string (big-endian).  A dishonest committer who wants to keep ``r`` strings
 open faces the operator ``Q`` summing the projectors onto those code states;
 the top eigenvalue of ``Q`` caps the total reveal probability at
 ``1 + (r - 1) * epsilon`` whenever pairwise overlaps stay below ``epsilon``
-and ``(r - 1) * epsilon < 1``.
+and ``(r - 1) * epsilon < 1``.  :func:`verify_unveil2` returns the
+projection probability of the claimed state and, given a generator, a
+verdict drawn from it.
 
 Spectra are taken from the code's own small objects.  ``Q`` shares its
 nonzero spectrum with the ``r x r`` Gram matrix of the cheat set, whose
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,27 +106,17 @@ def commit2(bits: str, cb: Codebook) -> Commitment2:
 def verify_unveil2(
     commitment: Commitment2,
     claimed: str,
-    mode: str = "exact",
-    seed: int | None = None,
     rng: np.random.Generator | None = None,
-):
+) -> tuple[float, bool | None]:
     """Measure the projector onto the claimed code state.
 
-    ``exact`` mode returns the outcome-1 probability; ``sampled`` mode draws
-    the binary outcome and returns the verdict.
+    Returns the outcome-1 probability and, when ``rng`` is given, the
+    verdict drawn from it.
     """
     cb = commitment.codebook
     template = cb.state(string_index(claimed, capacity(cb)))
     p = projection_probability(template, commitment.state)
-    if mode == "exact":
-        return p
-    if mode == "sampled":
-        if rng is None:
-            if seed is None:
-                raise InputError("sampled mode needs a seed or an rng")
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        return bool(rng.random() < p)
-    raise InputError(f"unknown mode {mode!r}")
+    return p, None if rng is None else bool(rng.random() < p)
 
 
 def _check_indices(cb: Codebook, s: CheatSet) -> None:
@@ -165,68 +156,6 @@ def binding_bound2(r: int, epsilon: float) -> float:
             "claimed below 1"
         )
     return 1.0 + (r - 1) * epsilon
-
-
-class RayleighTerms(NamedTuple):
-    cross: float
-    chain: float
-    rayleigh: float
-
-
-def rayleigh_quotient_terms(weights, gram) -> RayleighTerms:
-    """Overlap sums behind the reveal-set cap.
-
-    For coefficients ``w`` (unit square-sum) over states with Gram matrix
-    ``G``, returns the first-order cross sum ``sum_{i != j} conj(w_i) w_j
-    G_ij``, the second-order chain sum over paths ``i -> j -> k`` with
-    ``i != j, j != k``, and the Rayleigh quotient
-    ``(1 + 2*cross + chain) / (1 + cross)`` of the reveal-set operator on
-    the span.  The quotient is re-derived directly from the Gram matrix and
-    both overlap sums are checked against their worst-case caps
-    ``eps*(r-1)`` and ``eps^2*(r-1)^2``.
-    """
-    w = np.asarray(weights, dtype=complex)
-    g = np.asarray(gram, dtype=complex)
-    if w.ndim != 1 or g.ndim != 2 or g.shape != (w.size, w.size):
-        raise InputError(
-            f"need weights (r,) and gram (r, r); got {w.shape} and {g.shape}"
-        )
-    if np.max(np.abs(g - g.conj().T)) > 1e-10:
-        raise InputError("gram matrix is not Hermitian")
-    if np.max(np.abs(np.diag(g) - 1.0)) > 1e-10:
-        raise InputError("gram matrix diagonal must be 1 (unit vectors)")
-    norm_sq = float(np.vdot(w, w).real)
-    if abs(norm_sq - 1.0) > 1e-8:
-        raise InputError(f"weights must have unit square-sum, got {norm_sq!r}")
-
-    off = g - np.eye(w.size)
-    cross_c = complex(np.vdot(w, off @ w))
-    chain_c = complex(np.vdot(w, off @ (off @ w)))
-    if abs(cross_c.imag) > _BOUND_TOL or abs(chain_c.imag) > _BOUND_TOL:
-        raise NumericalError("overlap sums acquired an imaginary part")
-    cross = cross_c.real
-    chain = chain_c.real
-
-    r = w.size
-    eps = float(np.max(np.abs(off))) if r > 1 else 0.0
-    if cross > eps * (r - 1) + _BOUND_TOL:
-        raise NumericalError(
-            f"cross sum {cross!r} exceeds its cap {eps * (r - 1)!r}"
-        )
-    if chain > eps**2 * (r - 1) ** 2 + _BOUND_TOL:
-        raise NumericalError(
-            f"chain sum {chain!r} exceeds its cap {eps**2 * (r - 1) ** 2!r}"
-        )
-
-    rayleigh = (1.0 + 2.0 * cross + chain) / (1.0 + cross)
-    numerator = float(np.vdot(w, (g @ (g @ w))).real)
-    denominator = float(np.vdot(w, g @ w).real)
-    direct = numerator / denominator
-    if abs(rayleigh - direct) > _BOUND_TOL:
-        raise NumericalError(
-            f"Rayleigh quotient mismatch: {rayleigh!r} vs direct {direct!r}"
-        )
-    return RayleighTerms(cross=cross, chain=chain, rayleigh=rayleigh)
 
 
 def equality_configuration(r: int, epsilon: float) -> tuple[Ket, ...]:

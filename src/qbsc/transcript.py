@@ -5,7 +5,8 @@ a salted hash of the committed string), ``unveiled`` (claimed string
 appended) and ``verified`` (verdict and exact acceptance probability).
 Serialization is canonical: keys are sorted, floats are written with 17
 significant digits, and there is no timestamp, so identical seeds reproduce
-identical bytes.
+identical bytes.  Reading is strict: :func:`field` requires each field to be
+present with its JSON type, and a boolean is never read as a number.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ PHASES = ("committed", "unveiled", "verified")
 # spawn tags for per-session derived streams
 TAG_SALT = 0x5A17
 TAG_VERIFY = 0x7E51
+# field kinds read by :func:`field`
+REAL = (int, float)
+OPTIONAL_OBJECT = (dict, type(None))
 
 
 def format_float(x: float) -> str:
@@ -85,21 +89,38 @@ def commitment_hash(salt_hex: str, bits: str) -> str:
     return hashlib.sha256(bytes.fromhex(salt_hex) + bits.encode()).hexdigest()
 
 
-def verification_rng(seed: int) -> np.random.Generator:
-    """The session's verification stream, derived from the recorded seed."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(TAG_VERIFY,)))
-    )
-
-
 def amplitude_pairs(ket: Ket) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in ket.amps]
+    return ket.amps.view(np.float64).reshape(-1, 2).tolist()
 
 
 def matrix_pairs(op: DensityMatrix) -> list[list[list[float]]]:
-    return [
-        [[float(e.real), float(e.imag)] for e in row] for row in op.mat
-    ]
+    entries = np.asarray(op.mat, dtype=complex).view(np.float64)
+    return entries.reshape(op.dim, op.dim, 2).tolist()
+
+
+_EXPECTED = {
+    int: "an integer",
+    REAL: "a real number",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    OPTIONAL_OBJECT: "an object or null",
+}
+
+
+def field(record: dict, key: str, kind, where: str):
+    """``record[key]``, which must be present and an instance of ``kind``.
+
+    Booleans count as neither integers nor real numbers, so a JSON ``true``
+    is never read as 1.
+    """
+    if key not in record:
+        raise InputError(f"{where}.{key} is missing")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        shown = value if isinstance(value, (bool, int, float)) else type(value).__name__
+        raise InputError(f"{where}.{key} must be {_EXPECTED[kind]}, got {shown!r}")
+    return value
 
 
 def _complex_from_pair(pair) -> complex:
@@ -178,25 +199,21 @@ class Transcript:
             raise InputError(f"malformed transcript: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputError("malformed transcript: expected an object")
-        try:
-            if payload["version"] != 1:
-                raise InputError(f"unknown transcript version {payload['version']}")
-            return cls(
-                protocol=int(payload["protocol"]),
-                phase=str(payload["phase"]),
-                params=dict(payload["params"]),
-                seeds=dict(payload["seeds"]),
-                commit=dict(payload["commit"]),
-                unveil=None if payload["unveil"] is None else dict(payload["unveil"]),
-                verify=None if payload["verify"] is None else dict(payload["verify"]),
-                strategy=(
-                    None if payload["strategy"] is None else dict(payload["strategy"])
-                ),
-                version=int(payload["version"]),
-                tool=str(payload["tool"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed transcript: {exc}") from exc
+        version = field(payload, "version", int, "transcript")
+        if version != 1:
+            raise InputError(f"unknown transcript version {version}")
+        return cls(
+            protocol=field(payload, "protocol", int, "transcript"),
+            phase=field(payload, "phase", str, "transcript"),
+            params=field(payload, "params", dict, "transcript"),
+            seeds=field(payload, "seeds", dict, "transcript"),
+            commit=field(payload, "commit", dict, "transcript"),
+            unveil=field(payload, "unveil", OPTIONAL_OBJECT, "transcript"),
+            verify=field(payload, "verify", OPTIONAL_OBJECT, "transcript"),
+            strategy=field(payload, "strategy", OPTIONAL_OBJECT, "transcript"),
+            version=version,
+            tool=field(payload, "tool", str, "transcript"),
+        )
 
     def with_unveil(self, claimed: str) -> "Transcript":
         if self.phase != "committed":

@@ -24,7 +24,6 @@ from qbsc import (
     guess_all_oracle,
     hiding_gap,
     identify_all_bound,
-    random_density_matrix,
     smallest_hiding_n,
     uniform_commitment_state,
     von_neumann_entropy,
@@ -39,6 +38,8 @@ from qbsc.protocol1 import (
     reveal_operator,
 )
 from qbsc.protocol2 import binding_bound2, cheat_set_for, q_operator
+
+from oracles import random_density_matrix
 
 PINNED_SEED = 1  # certifies n=32, k=6 at epsilon 0.375 on the first attempt
 

@@ -15,15 +15,16 @@ from qbsc import (
     equality_configuration,
     generate_certified_codebook,
     guess_all_oracle,
-    helstrom_two_state,
     optimal_cheat_state,
     projector,
     reveal_operator,
     run_cheat_session,
     top_eigenvector_strategy,
 )
-from qbsc.linalg import HermitianOp, random_ket
+from qbsc.linalg import HermitianOp
 from qbsc.protocol2 import index_string
+
+from oracles import helstrom_two_state, random_ket
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,9 @@ import pytest
 from qbsc.cli import main
 
 
+MISSING = object()
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -131,6 +134,55 @@ class TestSessionFlow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seeds.session" in err
         assert run("verify", "--transcript", t, "--codebook", codebook_path) == 0
+
+    @pytest.mark.parametrize(
+        "protocol, path, value",
+        [
+            (2, ("commit", "message", "index"), 1.5),
+            (2, ("commit", "message", "index"), True),
+            (1, ("params", "n"), 4.7),
+            (1, ("params", "r"), 1.9),
+            (1, ("params", "theta"), True),
+            (2, ("commit", "message", "index"), None),
+            (2, ("commit", "message", "index"), MISSING),
+            (2, ("params", "codebook_id"), MISSING),
+            (2, ("commit", "message"), {"kind": "state_amplitudes"}),
+            (1, ("params", "theta"), MISSING),
+            (1, ("params", "r"), None),
+            (1, ("params",), []),
+        ],
+        ids=[
+            "index-1.5", "index-true", "n-4.7", "r-1.9", "theta-true",
+            "index-null", "index-missing", "codebook_id-missing",
+            "amplitudes-missing", "theta-missing", "r-null", "params-list",
+        ],
+    )
+    def test_mistyped_or_missing_field_input_error(
+        self, tmp_path, codebook_path, capsys, protocol, path, value
+    ):
+        t = tmp_path / "session.json"
+        if protocol == 1:
+            run("commit", "--bits", "1010", "--theta", 0.2, "--seed", 1,
+                "--transcript", t)
+            run("unveil", "--transcript", t, "--bits", "1010")
+        else:
+            run("commit", "--protocol", 2, "--bits", "000001",
+                "--codebook", codebook_path, "--seed", 1, "--transcript", t)
+            run("unveil", "--transcript", t, "--bits", "000001")
+        payload = json.loads(t.read_text())
+        *parents, key = path
+        record = payload
+        for name in parents:
+            record = record[name]
+        if value is MISSING:
+            del record[key]
+        else:
+            record[key] = value
+        t.write_text(json.dumps(payload))
+        assert run("verify", "--transcript", t, "--codebook", codebook_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert key in err
 
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
         other = tmp_path / "other.json"
@@ -318,6 +370,24 @@ class TestCheatCommand:
         record = json.loads(t.read_text())
         assert record["strategy"]["kind"] == "top-eigenvector"
         assert record["strategy"]["achieved"] <= 1 + 2 * 0.375 + 1e-9
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_verify_reproduces_cheat_record(self, tmp_path, codebook_path, protocol):
+        t = tmp_path / "cheat.json"
+        if protocol == 1:
+            assert run("cheat", "--protocol", 1, "--theta", 0.2, "--reveal", "0110",
+                       "--seed", 5, "--transcript", t) == 0
+        else:
+            assert run("cheat", "--protocol", 2, "--codebook", codebook_path,
+                       "--cheat-set", "3,17,40", "--reveal", "010001",
+                       "--seed", 5, "--transcript", t) == 0
+        cheated = t.read_text()
+        payload = json.loads(cheated)
+        payload["phase"], payload["verify"] = "unveiled", None
+        t.write_text(json.dumps(payload))
+        assert run("verify", "--transcript", t, "--codebook", codebook_path,
+                   "--mode", "sampled") == 0
+        assert t.read_text() == cheated
 
     def test_protocol1_cheat_needs_theta(self, tmp_path, capsys):
         t = tmp_path / "cheat.json"

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from qbsc import (
 )
 from qbsc import codebook as codebook_module
 from qbsc import protocol2
-from qbsc.codebook import _crosscheck_pairs, _hex_to_row, _row_to_hex
+from qbsc.codebook import _crosscheck_pairs, _hex_to_row, _row_to_hex, make_rng
 from qbsc.errors import NumericalError
 
 # 4x16 generator whose 15 nonzero codeword weights span exactly [6, 10]
@@ -516,3 +518,31 @@ class TestContentId:
         assert cb.content_id() == hashlib.sha256(text.encode()).hexdigest()
         assert cb.content_id() == hashlib.sha256(text.encode()).hexdigest()
         assert calls == ["to_json"]
+
+
+def _builds_generator(node) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+        "Generator",
+        "default_rng",
+    )
+
+
+class TestMakeRng:
+    def test_one_function_builds_every_generator(self):
+        builders, calls = set(), 0
+        for path in sorted(Path(codebook_module.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls += sum(_builds_generator(node) for node in ast.walk(tree))
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    _builds_generator(node) for node in ast.walk(fn)
+                ):
+                    builders.add((path.name, fn.name))
+        assert builders == {("codebook.py", "make_rng")}
+        assert calls == 1
+
+    def test_spawn_key_names_a_child_stream(self):
+        for key in [(), (0x7E51,), (3, 4)]:
+            sequence = np.random.SeedSequence(11, spawn_key=key)
+            expected = np.random.Generator(np.random.Philox(sequence)).random(4)
+            assert np.array_equal(make_rng(11, *key).random(4), expected)

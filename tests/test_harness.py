@@ -1,10 +1,14 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from qbsc import InputError, protocol1, uniform_commitment_state, von_neumann_entropy
-from qbsc import harness
-from qbsc.harness import bound_sweep
+from qbsc import adversary, harness, protocol2
+from qbsc.codebook import generate_certified_codebook
+from qbsc.harness import bound_sweep, commit_session, unveil_session, verify_session
+from qbsc.linalg import DensityMatrix
 
 
 def counting(monkeypatch, module, name, calls):
@@ -61,3 +65,98 @@ class TestSweepLimits:
     def test_r_above_n_kept(self):
         report = bound_sweep((0.2,), (2,), (10,))
         assert report.rows[0]["r"] == 10 and report.rows[0]["n"] == 2
+
+
+# sha256 of each output at the commit before sessions and cheat sessions
+# shared one pipeline; identical seeds must keep giving identical bytes
+GOLDEN = {
+    "honest1_exact": "96999eb05354cef138e8ad2187bf5de874803b56ce034da0861f4d1952ca77d2",
+    "honest1_sampled": "6b91ce4e0322e5e5709010d8904019c04d3751322776727df4aae73310ec3df5",
+    "honest2_exact": "4997a42eadfbc8ff9749336ee56fe38a2502ac704741fb2bad12f17555e06f8b",
+    "honest2_sampled": "2422d8141487fa87dd26f8e919725f968b6e4f121147bfdcbef7e64bdbb4dd63",
+    "wrong1_sampled": "08c1989232a2978409272274224eedeb10569f73227506c443fdb7d949c0c33f",
+    "wrong2_sampled": "b5c2e4bcc9f840d26a6da3e6465c02f8ba04b538e0f551e7babbce0e8a43970f",
+    "cheat1_top": "43fcbaf25d7e95d964d4e6a7c709a1178e9aa72e7d9bee278201f9b0b00e68f7",
+    "cheat1_density": "615bdd3bbf42d53a0718fc81ac8aec474763cd3935942c972608f6272a809df3",
+    "cheat2_top": "7373488bac535b33438dc157645cf9e137c1470b90e4405683a0068329e8ea40",
+    "cheat2_density": "c72287bac10a34143305ae21b80a082f87eb30a6db046519280fad8f6b2ac22f",
+    "report_cheat_sets": "6a703b0bba6fb088d279e7535035c1e7f2abff417f9c08ba41a7be0693302613",
+    "report_plain": "f2a8ea3ab20089bdb3405161460f53efc09d0d5564342faffd9d0079f8882232",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_codebook():
+    return generate_certified_codebook(32, 0.5, 6, seed=1)
+
+
+def golden_output(name, cb):
+    def honest(protocol, bits, claimed, seed, mode):
+        kwargs = {"theta": 0.3} if protocol == 1 else {"codebook": cb}
+        t = unveil_session(commit_session(protocol, bits, seed, **kwargs), claimed)
+        return verify_session(t, mode=mode, codebook=kwargs.get("codebook"))
+
+    def cheat1(strategy, theta, reveal, seed, r=1):
+        params = protocol1.SecurityParams(theta=theta, n=len(reveal), r=r)
+        return adversary.run_cheat_session(1, strategy, reveal, seed, params=params)
+
+    def cheat2(strategy, member, seed):
+        reveal = protocol2.index_string(member, 6)
+        return adversary.run_cheat_session(2, strategy, reveal, seed, codebook=cb)
+
+    def report(**codebook_row):
+        return bound_sweep((0.1, 0.3), (2, 6), (2,), ((3, 0.1),), **codebook_row)
+
+    top = adversary.top_eigenvector_strategy
+    custom = adversary.custom_state_strategy
+    qubit_mixture = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
+    state3, state17 = cb.state(3).amps.real, cb.state(17).amps.real
+    code_mixture = DensityMatrix((np.outer(state3, state3) + np.outer(state17, state17)) / 2)
+    cheat_set = protocol2.cheat_set_for(cb, (3, 17, 40))
+    outputs = {
+        "honest1_exact": lambda: honest(1, "10110100", "10110100", 7, "exact"),
+        "honest1_sampled": lambda: honest(1, "10110100", "10110100", 8, "sampled"),
+        "honest2_exact": lambda: honest(2, "101101", "101101", 7, "exact"),
+        "honest2_sampled": lambda: honest(2, "101101", "101101", 8, "sampled"),
+        "wrong1_sampled": lambda: honest(1, "10110100", "10010110", 9, "sampled"),
+        "wrong2_sampled": lambda: honest(2, "101101", "001100", 9, "sampled"),
+        "cheat1_top": lambda: cheat1(top(protocol1.reveal_operator(0.2)), 0.2, "0110", 4, r=2),
+        "cheat1_density": lambda: cheat1(custom(qubit_mixture), 0.3, "1010", 5),
+        "cheat2_top": lambda: cheat2(top(protocol2.q_operator(cb, cheat_set)), 17, 2),
+        "cheat2_density": lambda: cheat2(custom(code_mixture), 3, 6),
+        "report_cheat_sets": lambda: report(codebook=cb, cheat_samples=25, seed=5),
+        "report_plain": lambda: report(),
+    }
+    output = outputs[name]()
+    if name.startswith("report"):
+        return output.to_json() + output.to_csv()
+    return output.to_json()
+
+
+class TestSessionPipeline:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_outputs_keep_their_bytes(self, pinned_codebook, name):
+        text = golden_output(name, pinned_codebook)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+    def test_cheat_is_verified_from_its_message(self, pinned_codebook, monkeypatch):
+        cb = pinned_codebook
+        strategy = adversary.top_eigenvector_strategy(
+            protocol2.q_operator(cb, protocol2.cheat_set_for(cb, (3, 17, 40)))
+        )
+        seen = []
+        original = harness._reconstruct_commitment
+
+        def spy(transcript, codebook):
+            seen.append(transcript.commit["message"]["kind"])
+            return original(transcript, codebook)
+
+        monkeypatch.setattr(harness, "_reconstruct_commitment", spy)
+        t = adversary.run_cheat_session(2, strategy, "010001", seed=2, codebook=cb)
+        assert seen == ["state_amplitudes"]
+        assert t.verify["mode"] == "sampled"
+
+    def test_verify_rejects_unknown_mode(self):
+        t = unveil_session(commit_session(1, "01", seed=3, theta=0.2), "01")
+        with pytest.raises(InputError):
+            verify_session(t, mode="fuzzy")

@@ -12,14 +12,11 @@ from qbsc import (
     Ket,
     binary_entropy,
     eig_hermitian,
-    inner,
     projector,
-    random_density_matrix,
-    random_ket,
-    tensor,
-    tensor_op,
     von_neumann_entropy,
 )
+
+from oracles import inner, random_density_matrix, random_ket, tensor, tensor_op
 
 E0 = Ket(np.array([1.0, 0.0]))
 E1 = Ket(np.array([0.0, 1.0]))

@@ -17,14 +17,15 @@ from qbsc import (
     identify_all_bound,
     identify_all_bound_raw,
     projector,
-    random_density_matrix,
     reveal_operator,
     smallest_hiding_n,
     uniform_commitment_state,
     verify_unveil,
     von_neumann_entropy,
 )
-from qbsc.linalg import tensor
+from qbsc.codebook import make_rng
+
+from oracles import random_density_matrix, tensor
 
 
 def h2(p):
@@ -71,7 +72,7 @@ class TestCommit:
         for theta in (0.05, 0.1, 0.2, 0.3, 0.7, 1.2):
             for bits in ("0", "1", "0110", "111000111"):
                 params = SecurityParams(theta=theta, n=len(bits))
-                assert verify_unveil(commit(bits, params), bits) == 1.0
+                assert verify_unveil(commit(bits, params), bits)[0] == 1.0
 
 
 class TestVerifyUnveil:
@@ -79,14 +80,14 @@ class TestVerifyUnveil:
         theta = 0.1
         params = SecurityParams(theta=theta, n=4)
         c = commit("1010", params)
-        one_flip = verify_unveil(c, "1011")
+        one_flip, _ = verify_unveil(c, "1011")
         assert one_flip == pytest.approx(math.sin(theta) ** 2, rel=1e-12)
-        two_flips = verify_unveil(c, "0011")
+        two_flips, _ = verify_unveil(c, "0011")
         assert two_flips == pytest.approx(math.sin(theta) ** 4, rel=1e-12)
 
     def test_flip_value_at_theta_01(self):
         params = SecurityParams(theta=0.1, n=1)
-        assert verify_unveil(commit("0", params), "1") == pytest.approx(
+        assert verify_unveil(commit("0", params), "1")[0] == pytest.approx(
             0.009966711079379185, rel=1e-12
         )
 
@@ -97,20 +98,33 @@ class TestVerifyUnveil:
         params = SecurityParams(theta=theta, n=1)
         c = Commitment1(qubits=(state,), params=params)
         expected = (1.0 + math.sin(theta)) / 2.0
-        assert verify_unveil(c, "0") == pytest.approx(expected, rel=1e-12)
-        assert verify_unveil(c, "1") == pytest.approx(expected, rel=1e-12)
+        assert verify_unveil(c, "0")[0] == pytest.approx(expected, rel=1e-12)
+        assert verify_unveil(c, "1")[0] == pytest.approx(expected, rel=1e-12)
 
     def test_sampled_mode_deterministic(self):
         params = SecurityParams(theta=0.1, n=6)
         c = commit("101010", params)
-        a = verify_unveil(c, "101011", mode="sampled", seed=11)
-        b = verify_unveil(c, "101011", mode="sampled", seed=11)
+        a = verify_unveil(c, "101011", rng=make_rng(11))
+        b = verify_unveil(c, "101011", rng=make_rng(11))
         assert a == b
 
-    def test_rejects_unknown_mode(self):
-        params = SecurityParams(theta=0.1, n=1)
-        with pytest.raises(InputError):
-            verify_unveil(commit("0", params), "0", mode="fuzzy")
+    def test_verdict_only_with_an_rng(self):
+        c = commit("10", SecurityParams(theta=0.1, n=2))
+        assert verify_unveil(c, "10") == (1.0, None)
+        assert verify_unveil(c, "10", rng=make_rng(11)) == (1.0, True)
+
+    def test_sampled_draws_stop_at_the_first_rejection(self):
+        # the first claimed bit is orthogonal to its qubit, so one draw decides
+        zero = encode_bit(0, 0.1)
+        c = Commitment1(
+            qubits=(Ket(np.array([0.0, 1.0])), zero, zero),
+            params=SecurityParams(theta=0.1, n=3),
+        )
+        rng = make_rng(11)
+        assert verify_unveil(c, "000", rng=rng) == (0.0, False)
+        reference = make_rng(11)
+        reference.random()
+        assert rng.random() == reference.random()
 
     def test_length_mismatch(self):
         params = SecurityParams(theta=0.1, n=2)

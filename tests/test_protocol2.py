@@ -20,13 +20,14 @@ from qbsc import (
     generate_code,
     hiding_bound2,
     q_operator,
-    random_density_matrix,
-    rayleigh_quotient_terms,
     verify_unveil2,
     von_neumann_entropy,
 )
 from qbsc.linalg import DensityMatrix
+from qbsc.codebook import make_rng
 from qbsc.protocol2 import index_string, string_index
+
+from oracles import random_density_matrix, rayleigh_quotient_terms
 
 ORTHOGONAL_2x4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
 
@@ -69,7 +70,7 @@ class TestCommit2:
     def test_honest_unveil_accepts_exactly(self, pinned_codebook):
         for bits in ("000000", "101101", "111111"):
             c = commit2(bits, pinned_codebook)
-            assert verify_unveil2(c, bits) == 1.0
+            assert verify_unveil2(c, bits)[0] == 1.0
 
     def test_distinct_commitments_bounded_by_certificate(self, pinned_codebook):
         eps = pinned_codebook.epsilon_certified
@@ -92,7 +93,7 @@ class TestVerifyUnveil2:
         eps = pinned_codebook.epsilon_certified
         c = commit2("000000", pinned_codebook)
         for claim in ("000001", "110011", "111111"):
-            assert verify_unveil2(c, claim) <= eps**2 + 1e-12
+            assert verify_unveil2(c, claim)[0] <= eps**2 + 1e-12
 
     def test_cheat_state_probabilities_sum_to_top_eigenvalue(self, pinned_codebook):
         s = cheat_set_for(pinned_codebook, (3, 17, 40))
@@ -103,14 +104,14 @@ class TestVerifyUnveil2:
 
         c = Commitment2(state=Ket(top), codebook=pinned_codebook)
         total = sum(
-            verify_unveil2(c, index_string(i, 6)) for i in s.indices
+            verify_unveil2(c, index_string(i, 6))[0] for i in s.indices
         )
         assert total == pytest.approx(float(w[-1]), abs=1e-9)
 
     def test_sampled_mode_deterministic(self, pinned_codebook):
         c = commit2("101101", pinned_codebook)
-        a = verify_unveil2(c, "101100", mode="sampled", seed=3)
-        b = verify_unveil2(c, "101100", mode="sampled", seed=3)
+        a = verify_unveil2(c, "101100", rng=make_rng(3))
+        b = verify_unveil2(c, "101100", rng=make_rng(3))
         assert a == b
 
 
