@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

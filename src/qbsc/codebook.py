@@ -6,17 +6,17 @@ Each message ``x`` maps through a full-rank generator matrix to a codeword
 ``d`` is the Hamming distance between the codewords, so the maximum pairwise
 overlap of the whole family equals ``max |1 - 2 w / m|`` over the nonzero
 codeword weights ``w``.  Certification is exhaustive over that weight
-enumeration, which works on the generator rows packed into 64-bit words:
-a table of all XOR combinations of the low rows is built by doubling, each
-combination of the high rows is XORed into it, and popcounts give the
-weights.  Each certified number is enumerated once and then cross-checked
-against directly computed inner products of 100 seeded pairs, whose
-codewords are built in two batched calls.  A batch of codewords comes from
-the generator rows held as ``m``-bit integers: each message XORs the rows it
-selects, and one ``unpackbits`` turns the batch into a bit matrix.  Stored
-generator rows are hex strings of exactly ``ceil(m/4)`` lowercase digits,
-written and read through ``packbits``/``unpackbits``.  The dense per-message
-product ``bits @ G mod 2`` remains only as the tests' oracle.
+enumeration: codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is
+the Walsh-Hadamard transform of the histogram of the generator's columns
+read as ``k``-bit integers, so all ``2^k`` weights cost ``O(m + k 2^k)``
+whatever the length.  Each certified number is enumerated once and then
+cross-checked against directly computed inner products of 100 seeded pairs,
+whose codewords are built in two batched calls.  A batch of codewords comes
+from the generator rows held as ``m``-bit integers: each message XORs the
+rows it selects, and one ``unpackbits`` turns the batch into a bit matrix.
+Stored generator rows are hex strings of exactly ``ceil(m/4)`` lowercase
+digits, written and read through ``packbits``/``unpackbits``.  The dense
+per-message product ``bits @ G mod 2`` remains only as the tests' oracle.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
 ``numpy.random.SeedSequence``; :func:`make_rng` builds every generator of the
@@ -42,13 +42,11 @@ from .errors import CertificationError, GenerationError, InputError, NumericalEr
 from .linalg import Ket
 
 PRNG_ID = "philox4x64:numpy-seedsequence"
-MAX_EXHAUSTIVE_SIZE = 2**16
-MAX_GENERATE_K = 20
+MAX_EXHAUSTIVE_K = 16  # largest k whose 2^k codewords are enumerated
 MAX_GENERATE_M = 4096
 DEFAULT_ATTEMPT_CAP = 500
 OVERLAP_IDENTITY_TOL = 1e-12
 _CROSSCHECK_PAIRS = 100
-_XOR_TABLE_ROWS = 12  # 4096 codewords per block of the weight enumeration
 _HEX_DIGITS = frozenset("0123456789abcdef")
 # spawn tags reserved on top of attempt indices
 _TAG_CROSSCHECK = 0x636B  # "ck"
@@ -196,32 +194,21 @@ class BinaryCode:
     def nonzero_codeword_weights(self) -> np.ndarray:
         """Hamming weights of all 2^k - 1 nonzero codewords in message order.
 
-        The last ``min(k, 12)`` generator rows span a table of at most 4096
-        bit-packed codewords; every combination of the remaining rows is
-        XORed into that table in turn and its rows are popcounted.
+        Codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is the
+        Walsh-Hadamard transform of the histogram of the generator columns
+        read as k-bit integers (row 0 most significant).  The transform is k
+        integer butterfly passes; each acts on the leading index bit and
+        moves it to the end, so after k passes the order is restored.
         """
-        if self.k == 0:
-            return np.zeros(0, dtype=np.int64)
-        packed = np.packbits(self.generator, axis=1)
-        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-        rows = packed.view(np.uint64)
-        low = min(self.k, _XOR_TABLE_ROWS)
-        table = _xor_span(rows[self.k - low :])
-        weights = np.concatenate(
-            [
-                np.bitwise_count(table ^ high).sum(axis=1, dtype=np.int64)
-                for high in _xor_span(rows[: self.k - low])
-            ]
-        )
-        return weights[1:]
-
-
-def _xor_span(rows: np.ndarray) -> np.ndarray:
-    """XOR of the rows selected by each big-endian index, by doubling."""
-    span = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows[::-1]:
-        span = np.concatenate([span, span ^ row])
-    return span
+        k = self.k
+        columns = np.dot(1 << np.arange(k - 1, -1, -1), self.generator)
+        spectrum = np.bincount(columns, minlength=2**k)
+        for _ in range(k):
+            top, bottom = spectrum.reshape(2, -1)
+            spectrum = np.empty((top.size, 2), dtype=np.int64)
+            np.add(top, bottom, out=spectrum[:, 0])
+            np.subtract(top, bottom, out=spectrum[:, 1])
+        return (self.m - spectrum.ravel()[1:]) // 2
 
 
 def generate_code(k: int, m: int, seed: int) -> BinaryCode:
@@ -229,8 +216,8 @@ def generate_code(k: int, m: int, seed: int) -> BinaryCode:
 
     Redraws from the same stream on rank deficiency, up to 1000 times.
     """
-    if not 1 <= k <= MAX_GENERATE_K:
-        raise InputError(f"k = {k} outside [1, {MAX_GENERATE_K}]")
+    if not 1 <= k <= MAX_EXHAUSTIVE_K:
+        raise InputError(f"k = {k} outside [1, {MAX_EXHAUSTIVE_K}]")
     if not k <= m <= MAX_GENERATE_M:
         raise InputError(f"m = {m} outside [k, {MAX_GENERATE_M}]")
     rng = make_rng(seed)
@@ -259,10 +246,7 @@ class Codebook:
     prng_id: str = PRNG_ID
 
     def __post_init__(self):
-        if self.size > MAX_EXHAUSTIVE_SIZE:
-            raise InputError(
-                f"codebooks beyond {MAX_EXHAUSTIVE_SIZE} states are unsupported"
-            )
+        _require_exhaustive(self.code.k)
         if self.attempts < 1:
             raise InputError("attempts must be at least 1")
 
@@ -345,6 +329,14 @@ def _amplitudes(words: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * words.astype(float)) / math.sqrt(words.shape[-1])
 
 
+def _require_exhaustive(k: int) -> None:
+    if k > MAX_EXHAUSTIVE_K:
+        raise InputError(
+            f"k = {k} gives 2^{k} states, beyond the 2^{MAX_EXHAUSTIVE_K} "
+            "that can be certified exhaustively"
+        )
+
+
 def _epsilon_from_weights(code: BinaryCode) -> float:
     weights = code.nonzero_codeword_weights()
     if weights.size == 0:
@@ -354,10 +346,7 @@ def _epsilon_from_weights(code: BinaryCode) -> float:
 
 def fingerprint_states(code: BinaryCode) -> Codebook:
     """Codebook of sign-pattern states for a code, certified at construction."""
-    if 2**code.k > MAX_EXHAUSTIVE_SIZE:
-        raise InputError(
-            f"code has 2^{code.k} messages, beyond the exhaustive regime"
-        )
+    _require_exhaustive(code.k)
     epsilon = _epsilon_from_weights(code)
     cb = Codebook(code=code, epsilon_certified=epsilon, seed=code.seed, attempts=1)
     _crosscheck_pairs(cb, epsilon)
@@ -372,8 +361,7 @@ def verify_epsilon(cb: Codebook) -> float:
     least 100 randomly chosen pairs against directly computed inner
     products.
     """
-    if cb.size > MAX_EXHAUSTIVE_SIZE:
-        raise InputError("codebook too large for exhaustive certification")
+    _require_exhaustive(cb.code.k)
     epsilon = _epsilon_from_weights(cb.code)
     _crosscheck_pairs(cb, epsilon)
     return epsilon
@@ -426,11 +414,7 @@ def generate_certified_codebook(
     """
     if not 0.0 <= epsilon_target <= 1.0:
         raise InputError(f"epsilon_target {epsilon_target!r} outside [0, 1]")
-    if 2**k > MAX_EXHAUSTIVE_SIZE:
-        raise InputError(
-            f"k = {k} gives 2^{k} states, beyond the {MAX_EXHAUSTIVE_SIZE} "
-            "that can be certified exhaustively"
-        )
+    _require_exhaustive(k)
     best = math.inf
     for attempt in range(attempt_cap):
         code = generate_code(k, n, derive_seed(seed, attempt))

@@ -115,6 +115,10 @@ def commit_session(
 
 
 def unveil_session(transcript: Transcript, claimed: str) -> Transcript:
+    """Unveil phase.  The protocol fields are read as verification reads
+    them, so a transcript that verification would refuse for its params is
+    refused here."""
+    _protocol_params(transcript)
     return transcript.with_unveil(claimed)
 
 
@@ -138,24 +142,33 @@ def _encode_message(protocol: int, sent) -> dict:
     return {"kind": "state_amplitudes", "amplitudes": amplitude_pairs(sent)}
 
 
-def _reconstruct_commitment(
-    transcript: Transcript, codebook: Codebook | None
-):
-    """The commitment a transcript's message describes.
+def _protocol_params(transcript: Transcript):
+    """The :class:`SecurityParams` of a protocol-1 transcript, or the
+    ``codebook_id`` of a protocol-2 one.
 
     Every field is read strictly: integers must be JSON integers, ``theta`` a
     JSON number, and a missing or mistyped field raises :class:`InputError`.
     """
+    if transcript.protocol == 1:
+        return SecurityParams(
+            theta=float(field(transcript.params, "theta", REAL, "params")),
+            n=field(transcript.params, "n", int, "params"),
+            r=field(transcript.params, "r", int, "params"),
+        )
+    return field(transcript.params, "codebook_id", str, "params")
+
+
+def _reconstruct_commitment(
+    transcript: Transcript, codebook: Codebook | None
+):
+    """The commitment a transcript's message describes, with every field
+    read strictly (see :func:`_protocol_params`)."""
     message = transcript.commit.get("message")
     if not isinstance(message, dict):
         raise InputError("commit.message must be an object")
     kind = message.get("kind")
     if transcript.protocol == 1:
-        params = SecurityParams(
-            theta=float(field(transcript.params, "theta", REAL, "params")),
-            n=field(transcript.params, "n", int, "params"),
-            r=field(transcript.params, "r", int, "params"),
-        )
+        params = _protocol_params(transcript)
         if kind == "qubit_amplitudes":
             parse = ket_from_pairs
         elif kind == "qubit_density_matrices":
@@ -166,7 +179,7 @@ def _reconstruct_commitment(
         return Commitment1(qubits=tuple(parse(q) for q in qubits), params=params)
     if codebook is None:
         raise InputError("verifying a protocol 2 transcript needs the codebook")
-    if codebook.content_id() != field(transcript.params, "codebook_id", str, "params"):
+    if codebook.content_id() != _protocol_params(transcript):
         raise InputError(
             "supplied codebook does not match the transcript's codebook_id"
         )

@@ -64,6 +64,23 @@ class TestSessionFlow:
     def test_missing_transcript_input_error(self, tmp_path):
         assert run("verify", "--transcript", tmp_path / "absent.json") == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--transcript"),
+            ("codebook", "verify", "--codebook"),
+            ("bounds", "--theta", 0.2, "--n", 2, "--r", 1, "--out", "report",
+             "--codebook"),
+        ],
+        ids=["verify", "codebook-verify", "bounds"],
+    )
+    def test_directory_path_input_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_protocol2_flow(self, tmp_path, codebook_path):
         t = tmp_path / "session2.json"
         assert run("commit", "--protocol", 2, "--bits", "101101",
@@ -183,6 +200,40 @@ class TestSessionFlow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert key in err
+
+    @pytest.mark.parametrize(
+        "protocol, key, value",
+        [
+            (1, "theta", "abc"),
+            (1, "n", 4.7),
+            (1, "r", None),
+            (2, "codebook_id", MISSING),
+        ],
+        ids=["theta-abc", "n-4.7", "r-null", "codebook_id-missing"],
+    )
+    def test_unveil_reads_params_strictly(
+        self, tmp_path, codebook_path, capsys, protocol, key, value
+    ):
+        t = tmp_path / "session.json"
+        if protocol == 1:
+            bits = "1010"
+            run("commit", "--bits", bits, "--theta", 0.2, "--seed", 1,
+                "--transcript", t)
+        else:
+            bits = "000001"
+            run("commit", "--protocol", 2, "--bits", bits,
+                "--codebook", codebook_path, "--seed", 1, "--transcript", t)
+        payload = json.loads(t.read_text())
+        if value is MISSING:
+            del payload["params"][key]
+        else:
+            payload["params"][key] = value
+        t.write_text(json.dumps(payload))
+        before = t.read_bytes()
+        assert run("unveil", "--transcript", t, "--bits", bits) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert t.read_bytes() == before
 
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
         other = tmp_path / "other.json"

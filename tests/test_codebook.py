@@ -1,7 +1,9 @@
 import ast
 import hashlib
+import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,8 +106,39 @@ def dense_weights(code):
     return ((bits @ code.generator) % 2).sum(axis=1, dtype=np.int64)
 
 
+def columns_generator(k, columns):
+    """``k x len(columns)`` generator whose columns are the given k-bit
+    integers, row 0 most significant."""
+    cols = np.asarray(columns, dtype=np.int64)
+    return ((cols[None, :] >> np.arange(k - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
+
+
+UNITS_16 = [1 << i for i in range(16)]
+
+
 class TestWeightEnumeration:
-    """The bit-packed XOR enumeration against the dense product."""
+    """The Walsh-Hadamard enumeration against the dense product."""
+
+    @pytest.mark.parametrize(
+        "k, columns",
+        [
+            (0, [0] * 5),
+            (1, [1] * 11),  # every column equal
+            (1, [0, 1, 0, 0, 1, 1, 0]),
+            (5, [16, 8, 4, 2, 1, 0, 7, 0, 31, 19, 0, 5, 12]),  # zero columns
+            (7, [1, 2, 4, 8, 16, 32, 64] * 3 + [3] * 5),  # repeated columns
+            (13, [(37 * i) % 8192 for i in range(77)] + UNITS_16[:13]),
+            (16, UNITS_16 * 2 + [0, 65535, 65535]),
+        ],
+        ids=["k0", "k1-all-equal", "k1", "k5-zero-columns", "k7-repeated",
+             "k13-m90", "k16-m35"],
+    )
+    def test_structured_generators_match_explicit_enumeration(self, k, columns):
+        generator = columns_generator(k, columns)
+        code = BinaryCode(generator=generator, seed=0, length=len(columns))
+        weights = code.nonzero_codeword_weights()
+        assert weights.dtype == np.int64 and weights.shape == (2**k - 1,)
+        assert weights.tolist() == enumerate_weights(generator)
 
     @pytest.mark.parametrize(
         "k, m",
@@ -240,10 +273,79 @@ class TestGenerateCertified:
             with pytest.raises(InputError):
                 generate_certified_codebook(64, 1.0, k, seed=0)
 
+    # sha256 of each codebook JSON at the commit before the Walsh-Hadamard
+    # weight enumeration
+    @pytest.mark.parametrize(
+        "n, eps, k, seed, digest",
+        [
+            (32, 0.5, 6, 1,
+             "7ab89471cde1a5fd8fdfb7a8840f6c11f14c64f0fc6ce4b207637cce9c885c03"),
+            (1024, 0.25, 16, 3,
+             "22ebd131aa54cef491f7dd8ca59b7d34eab9e5a8b86ef5c52e3a57e745ac80f6"),
+            (64, 0.75, 5, 9,
+             "3dc0e068411c435c0be516e94e59ba4474bb8dafc3519fa1e4c2b2734b518858"),
+            (512, 0.4, 12, 4,
+             "eca089f90b8e47bcbad17ca77207aa418a7215da94c61829ebf0a2e0c8d1297f"),
+            (16, 0.8, 3, 9,
+             "e19db05fe2856eba509bc2bf36332f79d924ebb57bea40a579d74acc5c15da46"),
+        ],
+    )
+    def test_pinned_codebook_bytes(self, n, eps, k, seed, digest):
+        text = generate_certified_codebook(n, eps, k, seed=seed).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert Codebook.from_json(text).content_id() == digest
+
     def test_determinism(self):
         a = generate_certified_codebook(32, 0.5, 6, seed=1)
         b = generate_certified_codebook(32, 0.5, 6, seed=1)
         assert a.to_json() == b.to_json()
+
+
+class TestExhaustiveLimit:
+    """``MAX_EXHAUSTIVE_K`` refuses k = 17 at every entry point before any
+    codeword weight is enumerated."""
+
+    @pytest.fixture()
+    def code17(self, monkeypatch):
+        def never(self):
+            raise AssertionError("weights enumerated beyond the exhaustive limit")
+
+        monkeypatch.setattr(BinaryCode, "nonzero_codeword_weights", never)
+        k = codebook_module.MAX_EXHAUSTIVE_K + 1
+        assert k == 17
+        return BinaryCode(generator=np.eye(k, k + 3, dtype=np.uint8), seed=0)
+
+    def test_generate_code(self, code17):
+        assert generate_code(16, 64, 0).k == 16
+        with pytest.raises(InputError):
+            generate_code(17, 64, 0)
+
+    def test_codebook(self, code17):
+        with pytest.raises(InputError):
+            Codebook(code=code17, epsilon_certified=0.0, seed=0, attempts=1)
+
+    def test_codebook_from_json(self, code17):
+        payload = {
+            "version": 1, "dim": 20, "k": 17, "m": 20, "seed": 0,
+            "prng_id": codebook_module.PRNG_ID,
+            "generator": [_row_to_hex(row) for row in code17.generator],
+            "epsilon_certified": 0.0, "attempts": 1,
+        }
+        with pytest.raises(InputError):
+            Codebook.from_json(json.dumps(payload))
+
+    def test_fingerprint_states(self, code17):
+        with pytest.raises(InputError):
+            fingerprint_states(code17)
+
+    def test_verify_epsilon(self, code17):
+        # a codebook-shaped object that bypassed Codebook's own check
+        with pytest.raises(InputError):
+            verify_epsilon(SimpleNamespace(code=code17))
+
+    def test_generate_certified_codebook(self, code17):
+        with pytest.raises(InputError):
+            generate_certified_codebook(64, 1.0, 17, seed=0)
 
 
 class TestCapacity:
