@@ -22,6 +22,7 @@ from .errors import InputError, NumericalError
 
 NORM_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
+_STRIP = 128  # rows per strip of the Hermiticity check
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -62,6 +63,21 @@ class Ket:
         return cls(arr / norm)
 
 
+def _max_asymmetry(arr: np.ndarray) -> float:
+    """``max |arr - arr^H|`` over all entries of a square matrix.
+
+    Each mirrored pair of entries is compared once, in row strips of the
+    upper triangle, so the temporaries are strip-sized rather than the
+    size of the matrix.  Any NaN or inf entry gives NaN or inf.
+    """
+    maxima = [
+        np.abs(arr[i : i + _STRIP, i:] - arr[i:, i : i + _STRIP].conj().T).max()
+        for i in range(0, arr.shape[0], _STRIP)
+    ]
+    # np.max keeps a NaN wherever it is; the builtin max may drop it
+    return float(maxima[0] if len(maxima) == 1 else np.max(maxima))
+
+
 @dataclass(frozen=True)
 class HermitianOp:
     """Hermitian matrix on a finite-dimensional space.
@@ -76,8 +92,8 @@ class HermitianOp:
         arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError("operator must be a square matrix")
-        # any NaN or inf entry makes the difference NaN or inf and fails
-        if not np.max(np.abs(arr - arr.conj().T)) <= NORM_TOL:
+        # any NaN or inf entry makes the asymmetry NaN or inf and fails
+        if not _max_asymmetry(arr) <= NORM_TOL:
             raise InputError("matrix is not Hermitian within 1e-10")
         object.__setattr__(self, "mat", _freeze(arr))
 

@@ -90,6 +90,11 @@ def encode_bit(bit: int, theta: float) -> Ket:
     return Ket(np.array([math.sin(theta), math.cos(theta)]))
 
 
+def _encodings(theta: float) -> tuple[Ket, Ket]:
+    """Both encodings, indexed by bit: a string needs only these two."""
+    return encode_bit(0, theta), encode_bit(1, theta)
+
+
 def _parse_bits(bits: str) -> list[int]:
     if not bits or any(c not in "01" for c in bits):
         raise InputError(f"bit string must be over {{0,1}}, got {bits!r}")
@@ -101,10 +106,8 @@ def commit(bits: str, params: SecurityParams) -> Commitment1:
     values = _parse_bits(bits)
     if len(values) != params.n:
         raise InputError(f"expected {params.n} bits, got {len(values)}")
-    return Commitment1(
-        qubits=tuple(encode_bit(b, params.theta) for b in values),
-        params=params,
-    )
+    encodings = _encodings(params.theta)
+    return Commitment1(qubits=tuple(encodings[b] for b in values), params=params)
 
 
 def projection_probability(template: Ket, state) -> float:
@@ -144,8 +147,9 @@ def verify_unveil(
         raise InputError(
             f"claimed string has {len(values)} bits, expected {commitment.params.n}"
         )
+    encodings = _encodings(commitment.params.theta)
     probs = [
-        projection_probability(encode_bit(b, commitment.params.theta), q)
+        projection_probability(encodings[b], q)
         for b, q in zip(values, commitment.qubits)
     ]
     verdict = None if rng is None else all(rng.random() < p for p in probs)

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import InputError, PhaseOrderError
 from .linalg import DensityMatrix, Ket
 
+# the C routine json.dumps escapes a string with
+_encode_str = json.encoder.encode_basestring_ascii
+
 TOOL_ID = "qbsc 0.1.0"
 PHASES = ("committed", "unveiled", "verified")
 
@@ -33,7 +36,7 @@ OPTIONAL_OBJECT = (dict, type(None))
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise InputError("non-finite floats cannot be serialized")
     if x == 0.0:
         return "0"  # "-0" would parse back as the integer 0
@@ -41,43 +44,66 @@ def format_float(x: float) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, compact separators, 17-digit floats."""
+    """Deterministic JSON: sorted keys, compact separators, 17-digit floats.
+
+    Strings and keys are escaped exactly as ``json.dumps`` escapes them.
+    """
     pieces: list[str] = []
-    _write(obj, pieces)
+    _write(obj, pieces.append)
     return "".join(pieces)
 
 
-def _write(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+def _write(obj, put) -> None:
+    # exact types first: transcripts and reports hold only these
+    kind = type(obj)
+    if kind is float:
+        put(format_float(obj))
+    elif kind is str:
+        put(_encode_str(obj))
+    elif kind is dict:
+        for key in obj:
             if not isinstance(key, str):
                 raise InputError("canonical JSON requires string keys")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
+        sep = "{"
+        for key in sorted(obj):
+            put(sep)
+            put(_encode_str(key))
+            put(":")
+            _write(obj[key], put)
+            sep = ","
+        put("}" if obj else "{}")
+    elif kind is list or kind is tuple:
+        sep = "["
+        for item in obj:
+            put(sep)
+            _write(item, put)
+            sep = ","
+        put("]" if obj else "[]")
+    elif kind is int:
+        put(str(obj))
+    elif kind is bool:
+        put("true" if obj else "false")
+    elif obj is None:
+        put("null")
     else:
-        raise InputError(f"cannot serialize {type(obj).__name__}")
+        _write(_plain(obj), put)
+
+
+def _plain(obj):
+    """The exact JSON type behind a numpy scalar or a subclass of one."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)
+    if isinstance(obj, dict):
+        return dict(obj)
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
 def derive_salt(seed: int) -> str:

@@ -3,17 +3,20 @@
 Tensor products, Haar-random states, the two-state Helstrom value and the
 overlap sums behind the reveal-set cap are independent ways of computing
 what the library computes in closed form or from smaller objects; the
-tests compare the two.
+tests compare the two.  The recursive ``isinstance`` JSON writer is the
+slow path that the type-dispatch canonical JSON writer replaced.
 """
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 import numpy as np
 
 from qbsc.errors import InputError, NumericalError
 from qbsc.linalg import DensityMatrix, HermitianOp, Ket, projector
+from qbsc.transcript import format_float
 
 MAX_TENSOR_DIM = 2**22
 _BOUND_TOL = 1e-9
@@ -136,3 +139,43 @@ def rayleigh_quotient_terms(weights, gram) -> RayleighTerms:
             f"Rayleigh quotient mismatch: {rayleigh!r} vs direct {direct!r}"
         )
     return RayleighTerms(cross=cross, chain=chain, rayleigh=rayleigh)
+
+
+def recursive_canonical_json(obj) -> str:
+    """Canonical JSON by an ``isinstance`` chain on every node."""
+    pieces: list[str] = []
+    _write(obj, pieces)
+    return "".join(pieces)
+
+
+def _write(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise InputError("canonical JSON requires string keys")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key))
+            out.append(":")
+            _write(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _write(item, out)
+        out.append("]")
+    else:
+        raise InputError(f"cannot serialize {type(obj).__name__}")

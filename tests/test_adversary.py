@@ -11,6 +11,7 @@ from qbsc import (
     binding_bound1,
     brute_force_guess_all,
     custom_state_strategy,
+    eig_hermitian,
     encode_bit,
     equality_configuration,
     generate_certified_codebook,
@@ -57,6 +58,19 @@ class TestOptimalCheatState:
         total = rows.sum(axis=0)
         total = total / np.linalg.norm(total)
         assert abs(np.vdot(state.amps, total)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_last_eigenpair(self, complex_entries):
+        rng = np.random.default_rng(11 + complex_entries)
+        for dim in range(2, 65):
+            g = rng.standard_normal((dim, dim))
+            if complex_entries:
+                g = g + 1j * rng.standard_normal((dim, dim))
+            op = HermitianOp((g + g.conj().T) / 2)
+            state, lam = optimal_cheat_state(op)
+            eigenvalues, eigenvectors = eig_hermitian(op)
+            assert state.amps.tobytes() == eigenvectors[-1].amps.tobytes()
+            assert lam == float(eigenvalues[-1])
 
     def test_strategy_invariant_enforced(self):
         theta = 0.3

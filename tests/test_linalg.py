@@ -15,6 +15,7 @@ from qbsc import (
     projector,
     von_neumann_entropy,
 )
+from qbsc.linalg import _max_asymmetry
 
 from oracles import inner, random_density_matrix, random_ket, tensor, tensor_op
 
@@ -211,6 +212,58 @@ class TestOperatorDtype:
         assert von_neumann_entropy(real) == pytest.approx(
             von_neumann_entropy(cplx), abs=1e-12
         )
+
+
+def _old_asymmetry(arr):
+    """The whole-matrix expression the strip check replaced."""
+    return float(np.max(np.abs(arr - arr.conj().T)))
+
+
+class TestHermitianCheck:
+    @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_strips_match_whole_matrix(self, dim, complex_entries):
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((dim, dim))
+        if complex_entries:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        near = (g + g.conj().T) / 2
+        near[dim // 2, dim // 3] += 3e-11
+        for arr in (g, (g + g.conj().T) / 2, near):
+            assert _max_asymmetry(arr) == _old_asymmetry(arr)
+
+    # inf - inf raises NumPy's invalid-value warning
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("dim", [2, 300])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "upper", "lower", "mirrored"])
+    def test_rejects_non_finite_entries(self, dim, bad, where):
+        # on the 300-dim matrix the entry sits in the third strip
+        i, j = (dim - 1, dim - 1) if where == "diagonal" else (dim - 1, 0)
+        mat = np.eye(dim)
+        if where == "upper":
+            i, j = j, i
+        mat[i, j] = bad
+        if where == "mirrored":
+            mat[j, i] = bad
+        assert not _max_asymmetry(mat) <= 1e-10
+        with pytest.raises(InputError):
+            HermitianOp(mat)
+        with pytest.raises(InputError):
+            HermitianOp(mat.astype(complex))
+
+    @pytest.mark.parametrize("dim", [2, 300])
+    def test_asymmetry_just_above_tolerance(self, dim):
+        mat = np.eye(dim)
+        mat[dim - 1, 0] = 1.5e-10
+        with pytest.raises(InputError, match="not Hermitian"):
+            HermitianOp(mat)
+        mat[dim - 1, 0] = 0.5e-10
+        assert HermitianOp(mat).dim == dim
+        cplx = np.eye(dim, dtype=complex)
+        cplx[0, dim - 1] = cplx[dim - 1, 0] = 0.75e-10j  # differs by 1.5e-10
+        with pytest.raises(InputError, match="not Hermitian"):
+            HermitianOp(cplx)
 
 
 class TestDensityMatrix:

@@ -75,6 +75,24 @@ class TestCommit:
                 assert verify_unveil(commit(bits, params), bits)[0] == 1.0
 
 
+    def test_each_encoding_built_once_per_call(self, monkeypatch):
+        from qbsc import protocol1
+
+        calls = []
+
+        def counting(bit, theta):
+            calls.append(bit)
+            return encode_bit(bit, theta)
+
+        monkeypatch.setattr(protocol1, "encode_bit", counting)
+        params = SecurityParams(theta=0.3, n=8)
+        commitment = commit("01101001", params)
+        assert verify_unveil(commitment, "01100110")[0] == pytest.approx(
+            math.sin(0.3) ** 8, rel=1e-12
+        )
+        assert sorted(calls) == [0, 0, 1, 1]
+
+
 class TestVerifyUnveil:
     def test_flipped_bits_multiply_sin_squared(self):
         theta = 0.1

@@ -1,5 +1,12 @@
+import collections
+import enum
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbsc import DensityMatrix, InputError, Ket, PhaseOrderError, Transcript
 from qbsc.harness import commit_session, unveil_session, verify_session
@@ -14,6 +21,63 @@ from qbsc.transcript import (
     matrix_pairs,
 )
 
+from oracles import recursive_canonical_json
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+SPECIAL_FLOATS += [math.nan, math.inf, -math.inf]
+SPECIAL_STRINGS = ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é☃😀", "\ud800", ""]
+
+
+class Tag(str):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "re im")
+Bit = enum.IntEnum("Bit", "ONE TWO")
+SUBCLASSED = [
+    Tag('quo"te'),
+    Pair(0.5, -0.0),
+    Bit.TWO,
+    collections.OrderedDict([("b", 1), ("a", [2.5])]),
+    collections.defaultdict(list, {"k": (1, None)}),
+]
+LEAVES = st.one_of(
+    st.sampled_from(SUBCLASSED),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(),
+    st.sampled_from(SPECIAL_STRINGS),
+    st.sets(st.integers(), max_size=2),  # not serializable
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(
+            st.one_of(st.text(), st.sampled_from(SPECIAL_STRINGS)), children, max_size=4
+        ),
+        # non-string keys of one type sort, so both writers reach the key check
+        st.dictionaries(st.integers(), children, min_size=1, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _outcome(writer, payload):
+    """The text a writer produces, or the type of the exception it raises."""
+    try:
+        return writer(payload)
+    except Exception as exc:
+        return type(exc)
+
 
 class TestCanonicalJson:
     def test_sorted_keys_compact(self):
@@ -24,8 +88,6 @@ class TestCanonicalJson:
         assert canonical_json({"x": 0.5}) == '{"x":0.5}'
 
     def test_floats_round_trip(self):
-        import json
-
         rng = np.random.default_rng(1)
         for value in rng.standard_normal(200):
             assert json.loads(format_float(float(value))) == float(value)
@@ -44,6 +106,18 @@ class TestCanonicalJson:
         with pytest.raises(InputError):
             canonical_json({"x": object()})
 
+    @pytest.mark.parametrize("payload", [{1: 2, "a": 3}, {1: 2}, {"a": {None: 1}}])
+    def test_rejects_non_string_keys(self, payload):
+        # keys are checked before sorting, which fails on mixed int and str
+        with pytest.raises(InputError, match="string keys"):
+            canonical_json(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=PAYLOADS)
+    def test_matches_recursive_writer(self, payload):
+        assert _outcome(canonical_json, payload) == _outcome(
+            recursive_canonical_json, payload
+        )
 
 class TestAmplitudeSerialization:
     def test_round_trip_exact(self):
