@@ -16,7 +16,9 @@ from qbsc import (
     reveal_operator,
     smallest_hiding_n,
     top_eigenvector_strategy,
+    uniform_commitment_state,
     verify_unveil,
+    von_neumann_entropy,
 )
 from qbsc.adversary import run_cheat_session
 
@@ -49,8 +51,10 @@ print("best cheating state accepts an all-zero reveal with probability",
 print()
 
 # --- hiding: what the receiver can learn before the unveil --------------
-bound = holevo_bound1(params.n, theta, cross_check=True)
-print(f"receiver information cap: {bound:.4f} bits out of {params.n}")
+bound = holevo_bound1(params.n, theta)
+mixture = von_neumann_entropy(uniform_commitment_state(params.n, theta))
+print(f"receiver information cap: {bound:.4f} bits out of {params.n}",
+      f"(entropy of the dense 2^n mixture: {mixture:.4f})")
 print(f"hiding gap: {hiding_gap(params.n, theta):.4f} bits")
 n_star = smallest_hiding_n(theta, params.r)
 print(f"smallest n keeping more than {params.r} bits hidden on average: {n_star}")

@@ -37,7 +37,6 @@ from .linalg import (
     HermitianOp,
     Ket,
     binary_entropy,
-    eig_hermitian,
     projector,
     von_neumann_entropy,
 )

@@ -18,22 +18,14 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import InputError, NumericalError
-from .linalg import (
-    DensityMatrix,
-    HermitianOp,
-    Ket,
-    _eigh,
-    _fix_phases,
-    eig_hermitian,
-    projector,
-)
+from .linalg import DensityMatrix, HermitianOp, Ket, _eigh, _fix_phase, projector
 
 # verify_unveil stays importable from here: perfbench's tracer test checks
 # that a wrapped function is swapped in every module that holds it
 from .protocol1 import SecurityParams, encode_bit, verify_unveil  # noqa: F401
+from .protocol2 import _BOUND_TOL
 from .transcript import Transcript
 
-_BOUND_TOL = 1e-9
 BRUTE_FORCE_GUESS_MAX_N = 4
 
 
@@ -60,11 +52,11 @@ class CheatStrategy:
 def optimal_cheat_state(op: HermitianOp) -> tuple[Ket, float]:
     """Top eigenvector and eigenvalue of a reveal operator.
 
-    The same pair as the last of :func:`eig_hermitian`, phase-fixed the
-    same way, without fixing and wrapping the eigenvectors it discards.
+    The eigenvector is rotated so its first non-negligible entry is positive
+    real, which makes repeated runs byte-for-byte reproducible.
     """
     eigenvalues, eigenvectors = _eigh(op.mat)
-    return Ket(_fix_phases(eigenvectors[:, -1:])[:, 0]), float(eigenvalues[-1])
+    return Ket(_fix_phase(eigenvectors[:, -1])), float(eigenvalues[-1])
 
 
 def top_eigenvector_strategy(
@@ -78,8 +70,8 @@ def top_eigenvector_strategy(
     return CheatStrategy(kind="top-eigenvector", state=state, achieved=achieved)
 
 
-def custom_state_strategy(state, achieved: float | None = None) -> CheatStrategy:
-    return CheatStrategy(kind="custom-state", state=state, achieved=achieved)
+def custom_state_strategy(state) -> CheatStrategy:
+    return CheatStrategy(kind="custom-state", state=state)
 
 
 def _helstrom_qubit_conditionals(theta: float) -> tuple[float, float]:
@@ -87,11 +79,12 @@ def _helstrom_qubit_conditionals(theta: float) -> tuple[float, float]:
     psi0 = encode_bit(0, theta)
     psi1 = encode_bit(1, theta)
     gamma = HermitianOp(0.5 * (projector(psi0).mat - projector(psi1).mat))
-    eigenvalues, eigenvectors = eig_hermitian(gamma)
+    # projectors onto eigenvectors do not depend on their phases
+    eigenvalues, eigenvectors = _eigh(gamma.mat)
     guess0 = np.zeros((2, 2), dtype=complex)
-    for lam, vec in zip(eigenvalues, eigenvectors):
+    for lam, vec in zip(eigenvalues, eigenvectors.T):
         if lam > 0.0:
-            guess0 += projector(vec).mat
+            guess0 += projector(Ket(vec)).mat
     guess1 = np.eye(2) - guess0
     c0 = float(np.vdot(psi0.amps, guess0 @ psi0.amps).real)
     c1 = float(np.vdot(psi1.amps, guess1 @ psi1.amps).real)

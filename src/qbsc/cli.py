@@ -138,17 +138,13 @@ def _cmd_codebook(args) -> int:
         print(f"epsilon_certified: {format_float(cb.epsilon_certified)}")
         print(f"seed: {cb.seed}")
         print(f"attempts: {cb.attempts}")
-        print(f"prng: {cb.prng_id}")
+        print(f"prng: {codebook.PRNG_ID}")
         print(f"content_id: {cb.content_id()}")
         return 0
     if args.codebook_action == "verify":
+        # loading already matched the certificate to the weight enumeration;
+        # this adds the cross-check of directly computed pair overlaps
         epsilon = codebook.verify_epsilon(cb)
-        if epsilon != cb.epsilon_certified:
-            raise CertificationError(
-                f"recomputed overlap {epsilon!r} does not match stored "
-                f"{cb.epsilon_certified!r}",
-                best_epsilon=epsilon,
-            )
         expected = codebook.generate_code(
             cb.code.k, cb.code.m, codebook.derive_seed(cb.seed, cb.attempts - 1)
         )

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import CertificationError, GenerationError, InputError, NumericalError
 from .linalg import Ket
+from .transcript import REAL, field
 
 PRNG_ID = "philox4x64:numpy-seedsequence"
 MAX_EXHAUSTIVE_K = 16  # largest k whose 2^k codewords are enumerated
@@ -127,14 +128,13 @@ def _hex_to_row(text: str, m: int) -> np.ndarray:
 class BinaryCode:
     """Binary linear code given by a full-rank generator matrix.
 
-    ``k = 0`` (an empty generator with a declared length) is allowed and
-    yields the single-codeword code; it backs the one-state codebook
+    ``k = 0`` (a ``(0, m)`` generator) is allowed and yields the
+    single-codeword code of length ``m``; it backs the one-state codebook
     convention.
     """
 
     generator: np.ndarray
     seed: int
-    length: int | None = None
 
     def __post_init__(self):
         gen = np.asarray(self.generator, dtype=np.uint8)
@@ -142,20 +142,13 @@ class BinaryCode:
             raise InputError("generator must be a 2-D bit matrix")
         if gen.size and gen.max() > 1:
             raise InputError("generator entries must be 0 or 1")
-        k, m = gen.shape
-        if self.length is not None and self.length != m and k > 0:
-            raise InputError("declared length disagrees with generator width")
-        if k == 0:
-            if self.length is None or self.length < 1:
-                raise InputError("k = 0 codes need an explicit positive length")
-            m = self.length
-            gen = gen.reshape(0, m)
-        elif rank_gf2(gen) != k:
+        if gen.shape[1] < 1:
+            raise InputError("generator needs at least one column")
+        if rank_gf2(gen) != gen.shape[0]:
             raise InputError("generator does not have full row rank over GF(2)")
         gen = np.ascontiguousarray(gen)
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
-        object.__setattr__(self, "length", m)
         # rows as m-bit integers, last row first, so that bit i of a message
         # (least significant first) selects entry i
         object.__setattr__(self, "_row_values", tuple(_row_value(r) for r in gen[::-1]))
@@ -166,7 +159,7 @@ class BinaryCode:
 
     @property
     def m(self) -> int:
-        return self.length
+        return self.generator.shape[1]
 
     def codewords(self, messages) -> np.ndarray:
         """``(len(messages), m)`` uint8 codewords of big-endian message indices.
@@ -243,7 +236,6 @@ class Codebook:
     epsilon_certified: float
     seed: int
     attempts: int
-    prng_id: str = PRNG_ID
 
     def __post_init__(self):
         _require_exhaustive(self.code.k)
@@ -269,7 +261,7 @@ class Codebook:
             "k": self.code.k,
             "m": self.code.m,
             "seed": self.seed,
-            "prng_id": self.prng_id,
+            "prng_id": PRNG_ID,
             "generator": [_row_to_hex(row) for row in self.code.generator],
             "epsilon_certified": self.epsilon_certified,
             "attempts": self.attempts,
@@ -280,32 +272,46 @@ class Codebook:
     def from_json(cls, text: str) -> "Codebook":
         """Parse and revalidate a stored codebook.
 
-        States are re-derived from the generator; the maximum overlap is
-        recomputed from the codeword weights and must match the stored
-        certificate exactly.
+        Every field is read strictly (see :func:`qbsc.transcript.field`):
+        ``version``, ``dim``, ``k``, ``m``, ``seed`` and ``attempts`` must be
+        JSON integers, ``epsilon_certified`` a number and ``prng_id`` the one
+        scheme this package draws with.  States are re-derived from the
+        generator; the maximum overlap is recomputed from the codeword
+        weights and must match the stored certificate exactly.
         """
         try:
             payload = json.loads(text)
-            if payload["version"] != 1:
-                raise InputError(f"unknown codebook version {payload['version']}")
-            gen = np.array(
-                [_hex_to_row(row, payload["m"]) for row in payload["generator"]],
-                dtype=np.uint8,
-            ).reshape(payload["k"], payload["m"])
-            code = BinaryCode(
-                generator=gen,
-                seed=derive_seed(payload["seed"], payload["attempts"] - 1),
-                length=payload["m"],
-            )
-            cb = cls(
-                code=code,
-                epsilon_certified=float(payload["epsilon_certified"]),
-                seed=int(payload["seed"]),
-                attempts=int(payload["attempts"]),
-                prng_id=str(payload["prng_id"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise InputError(f"malformed codebook document: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InputError("malformed codebook document: expected an object")
+
+        def read(key, kind):
+            return field(payload, key, kind, "codebook")
+
+        version = read("version", int)
+        if version != 1:
+            raise InputError(f"unknown codebook version {version}")
+        prng_id = read("prng_id", str)
+        if prng_id != PRNG_ID:
+            raise InputError(f"unknown codebook prng_id {prng_id!r}")
+        k, m, dim = read("k", int), read("m", int), read("dim", int)
+        if dim != m:
+            raise InputError(f"codebook.dim {dim} differs from codebook.m {m}")
+        rows = read("generator", list)
+        if m < 1 or len(rows) != k:
+            raise InputError(
+                f"codebook has {len(rows)} generator rows for k = {k}, m = {m}"
+            )
+        seed, attempts = read("seed", int), read("attempts", int)
+        if seed < 0 or attempts < 1:
+            raise InputError(
+                f"codebook needs seed >= 0 and attempts >= 1, got {seed}, {attempts}"
+            )
+        gen = np.array([_hex_to_row(row, m) for row in rows], dtype=np.uint8)
+        code = BinaryCode(gen.reshape(k, m), seed=derive_seed(seed, attempts - 1))
+        epsilon = float(read("epsilon_certified", REAL))
+        cb = cls(code=code, epsilon_certified=epsilon, seed=seed, attempts=attempts)
         recomputed = _epsilon_from_weights(cb.code)
         if recomputed != cb.epsilon_certified:
             raise CertificationError(
@@ -404,19 +410,18 @@ def generate_certified_codebook(
     epsilon_target: float,
     k: int,
     seed: int,
-    attempt_cap: int = DEFAULT_ATTEMPT_CAP,
 ) -> Codebook:
     """Rejection-sample seeded codes until certification meets the target.
 
     Raises :class:`CertificationError` carrying the best overlap found when
-    the attempt cap is exhausted, which signals that ``k`` is too large for
-    the requested ``(n, epsilon_target)``.
+    ``DEFAULT_ATTEMPT_CAP`` attempts are exhausted, which signals that ``k``
+    is too large for the requested ``(n, epsilon_target)``.
     """
     if not 0.0 <= epsilon_target <= 1.0:
         raise InputError(f"epsilon_target {epsilon_target!r} outside [0, 1]")
     _require_exhaustive(k)
     best = math.inf
-    for attempt in range(attempt_cap):
+    for attempt in range(DEFAULT_ATTEMPT_CAP):
         code = generate_code(k, n, derive_seed(seed, attempt))
         epsilon = _epsilon_from_weights(code)
         if epsilon <= epsilon_target:
@@ -430,10 +435,10 @@ def generate_certified_codebook(
             return cb
         best = min(best, epsilon)
     raise CertificationError(
-        f"no code with overlap <= {epsilon_target} in {attempt_cap} attempts "
-        f"(n={n}, k={k}, seed={seed}); best overlap found: {best}",
+        f"no code with overlap <= {epsilon_target} in {DEFAULT_ATTEMPT_CAP} "
+        f"attempts (n={n}, k={k}, seed={seed}); best overlap found: {best}",
         best_epsilon=best,
-        attempts=attempt_cap,
+        attempts=DEFAULT_ATTEMPT_CAP,
     )
 
 

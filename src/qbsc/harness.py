@@ -25,7 +25,7 @@ from .codebook import Codebook, make_rng, verify_epsilon
 from .errors import InputError, PhaseOrderError
 from .linalg import DensityMatrix, Ket, von_neumann_entropy
 from .protocol1 import Commitment1, SecurityParams
-from .protocol2 import Commitment2
+from .protocol2 import _BOUND_TOL, Commitment2
 from .transcript import (
     REAL,
     TAG_VERIFY,
@@ -355,7 +355,7 @@ def _equality_row(r: int, epsilon: float) -> dict:
         "bound": bound,
         "gap": gap,
         "infeasible": False,
-        "pass": gap <= 1e-9,
+        "pass": gap <= _BOUND_TOL,
         "_sound_violation": gap,
     }
 
@@ -389,7 +389,7 @@ def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> dict:
         lam = float(np.linalg.eigvalsh(protocol2.cheat_set_gram(cb, s))[-1])
         bound = protocol2.binding_bound2(r, eps)
         worst = max(worst, lam - bound)
-        if lam > bound + 1e-9:
+        if lam > bound + _BOUND_TOL:
             violations += 1
     row.update(
         {
@@ -411,7 +411,6 @@ def bound_sweep(
     codebook: Codebook | None = None,
     cheat_samples: int = 200,
     seed: int = 0,
-    brute_force_max_n: int = protocol1.BRUTE_FORCE_MAX_N,
 ) -> BoundReport:
     """One row per grid point, each carrying the cap and its oracle.
 
@@ -435,7 +434,7 @@ def bound_sweep(
         lam = protocol1.top_reveal_eigenvalue(theta)
         for n in ns:
             brute = None
-            if n <= brute_force_max_n:
+            if n <= protocol1.BRUTE_FORCE_MAX_N:
                 brute = von_neumann_entropy(
                     protocol1.uniform_commitment_state(n, theta)
                 )

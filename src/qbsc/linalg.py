@@ -155,32 +155,16 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v.astype(complex, copy=False)
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is positive real."""
-    out = np.array(vectors, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-8))
-        pivot = col[idx]
-        out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+def _fix_phase(vector: np.ndarray) -> np.ndarray:
+    """Rotate a complex vector so its first non-negligible entry is positive
+    real."""
+    pivot = vector[int(np.argmax(np.abs(vector) > 1e-8))]
+    return vector * (pivot.conjugate() / abs(pivot))
 
 
 def projector(v: Ket) -> HermitianOp:
     """Rank-1 projector onto a normalized state."""
     return HermitianOp(np.outer(v.amps, v.amps.conj()))
-
-
-def eig_hermitian(h: HermitianOp) -> tuple[np.ndarray, tuple[Ket, ...]]:
-    """Full eigendecomposition with deterministic ordering and phases.
-
-    Eigenvalues come back ascending; each eigenvector is rotated so its
-    first non-negligible component is positive real, which makes repeated
-    runs byte-for-byte reproducible.
-    """
-    w, v = _eigh(h.mat)
-    v = _fix_phases(v)
-    return w, tuple(Ket(v[:, j]) for j in range(v.shape[1]))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

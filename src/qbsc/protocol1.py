@@ -26,12 +26,12 @@ from .linalg import (
     Ket,
     binary_entropy,
     projector,
-    von_neumann_entropy,
 )
 
 _IDENTITY_TOL = 1e-12
 _SPECTRAL_TOL = 1e-9
 BRUTE_FORCE_MAX_N = 12
+_HIDING_SCAN_MAX_N = 10**7  # smallest_hiding_n gives up beyond this n
 
 
 @dataclass(frozen=True)
@@ -214,23 +214,11 @@ def uniform_commitment_state(n: int, theta: float) -> DensityMatrix:
     return DensityMatrix(mixture)
 
 
-def holevo_bound1(n: int, theta: float, cross_check: bool = False) -> float:
-    """Receiver information cap in bits: n * h2((1 + sin t) / 2).
-
-    With ``cross_check`` (n <= 12) the value is verified against the
-    spectral entropy of the explicitly constructed uniform mixture.
-    """
+def holevo_bound1(n: int, theta: float) -> float:
+    """Receiver information cap in bits: n * h2((1 + sin t) / 2)."""
     if n < 1:
         raise InputError("n must be positive")
-    value = n * binary_entropy((1.0 + math.sin(theta)) / 2.0)
-    if cross_check:
-        brute = von_neumann_entropy(uniform_commitment_state(n, theta))
-        if abs(brute - value) > 1e-8:
-            raise NumericalError(
-                f"entropy cross-check failed at n={n}, theta={theta!r}: "
-                f"{brute!r} vs {value!r}"
-            )
-    return value
+    return n * binary_entropy((1.0 + math.sin(theta)) / 2.0)
 
 
 def holevo_power_form(n: int, theta: float) -> float:
@@ -243,7 +231,7 @@ def hiding_gap(n: int, theta: float) -> float:
     return n - holevo_bound1(n, theta)
 
 
-def smallest_hiding_n(theta: float, r: int, n_max: int = 10**7) -> int:
+def smallest_hiding_n(theta: float, r: int) -> int:
     """Smallest n whose hiding gap strictly exceeds r."""
     if r < 1:
         raise InputError("r must be positive")
@@ -252,11 +240,13 @@ def smallest_hiding_n(theta: float, r: int, n_max: int = 10**7) -> int:
         raise InputError(f"no hiding gap accrues at theta={theta!r}")
     # warm start just below the scalar crossing; the scan stays authoritative
     n = max(1, math.ceil(r / per_bit) - 3)
-    while n <= n_max:
+    while n <= _HIDING_SCAN_MAX_N:
         if hiding_gap(n, theta) > r:
             return n
         n += 1
-    raise NumericalError(f"no n <= {n_max} reaches a hiding gap above {r}")
+    raise NumericalError(
+        f"no n <= {_HIDING_SCAN_MAX_N} reaches a hiding gap above {r}"
+    )
 
 
 def identify_all_bound_raw(n: int, theta: float, r: int) -> float:

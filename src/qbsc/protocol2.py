@@ -31,8 +31,7 @@ from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import projection_probability
 
-_BOUND_TOL = 1e-9
-EXACT_HIDING_MAX = 2**12
+_BOUND_TOL = 1e-9  # slack of every binding-cap comparison in the package
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,17 @@ class CheatSet:
         return len(self.indices)
 
 
+def _check_indices(cb: Codebook, s: CheatSet) -> None:
+    for i in s.indices:
+        if not 0 <= i < cb.size:
+            raise InputError(f"index {i} outside codebook of size {cb.size}")
+
+
 def cheat_set_for(cb: Codebook, indices) -> CheatSet:
     """Validated cheat set for a codebook, including the overlap assumption
     (r - 1) * epsilon < 1."""
     s = CheatSet(tuple(indices))
-    for i in s.indices:
-        if not 0 <= i < cb.size:
-            raise InputError(f"index {i} outside codebook of size {cb.size}")
+    _check_indices(cb, s)
     if (s.r - 1) * cb.epsilon_certified >= 1.0:
         raise InputError(
             f"(r-1)*epsilon = {(s.r - 1) * cb.epsilon_certified!r} >= 1 for "
@@ -117,12 +120,6 @@ def verify_unveil2(
     template = cb.state(string_index(claimed, capacity(cb)))
     p = projection_probability(template, commitment.state)
     return p, None if rng is None else bool(rng.random() < p)
-
-
-def _check_indices(cb: Codebook, s: CheatSet) -> None:
-    for i in s.indices:
-        if not 0 <= i < cb.size:
-            raise InputError(f"index {i} outside codebook of size {cb.size}")
 
 
 def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
@@ -190,25 +187,17 @@ def code_ensemble_entropy(cb: Codebook) -> float:
     The mixture is block diagonal over classes of equal generator columns,
     and a class of ``t`` columns contributes the single eigenvalue ``t / m``.
     """
-    if cb.size > EXACT_HIDING_MAX or cb.dim > EXACT_HIDING_MAX:
-        raise InputError(
-            f"exact entropy is only computed up to size/dim {EXACT_HIDING_MAX}"
-        )
     counts = np.unique(cb.code.generator.T, axis=0, return_counts=True)[1]
     return float(np.dot(counts / cb.dim, np.log2(cb.dim / counts)))
 
 
 def hiding_bound2(cb: Codebook) -> float:
-    """Receiver information cap in bits: log2 of the carrier dimension.
-
-    For codebooks small enough to handle exactly, the spectral entropy of
-    the uniform code ensemble is computed and checked against the cap.
-    """
+    """Receiver information cap in bits: log2 of the carrier dimension,
+    checked against the spectral entropy of the uniform code ensemble."""
     bound = math.log2(cb.dim)
-    if cb.size <= EXACT_HIDING_MAX and cb.dim <= EXACT_HIDING_MAX:
-        exact = code_ensemble_entropy(cb)
-        if exact > bound + _BOUND_TOL:
-            raise NumericalError(
-                f"ensemble entropy {exact!r} exceeds log2(dim) = {bound!r}"
-            )
+    exact = code_ensemble_entropy(cb)
+    if exact > bound + _BOUND_TOL:
+        raise NumericalError(
+            f"ensemble entropy {exact!r} exceeds log2(dim) = {bound!r}"
+        )
     return bound

@@ -33,6 +33,7 @@ TAG_VERIFY = 0x7E51
 # field kinds read by :func:`field`
 REAL = (int, float)
 OPTIONAL_OBJECT = (dict, type(None))
+_OPTIONAL_STRING = (str, type(None))
 
 
 def format_float(x: float) -> str:
@@ -112,7 +113,11 @@ def derive_salt(seed: int) -> str:
 
 
 def commitment_hash(salt_hex: str, bits: str) -> str:
-    return hashlib.sha256(bytes.fromhex(salt_hex) + bits.encode()).hexdigest()
+    try:
+        salt = bytes.fromhex(salt_hex)
+    except ValueError as exc:
+        raise InputError(f"salt {salt_hex!r} is not a hex string") from exc
+    return hashlib.sha256(salt + bits.encode()).hexdigest()
 
 
 def amplitude_pairs(ket: Ket) -> list[list[float]]:
@@ -131,6 +136,7 @@ _EXPECTED = {
     list: "a list",
     dict: "an object",
     OPTIONAL_OBJECT: "an object or null",
+    _OPTIONAL_STRING: "a string or null",
 }
 
 
@@ -187,7 +193,6 @@ class Transcript:
     unveil: dict | None = None
     verify: dict | None = None
     strategy: dict | None = None
-    version: int = 1
     tool: str = TOOL_ID
 
     def __post_init__(self):
@@ -204,7 +209,7 @@ class Transcript:
 
     def to_json(self) -> str:
         payload = {
-            "version": self.version,
+            "version": 1,
             "tool": self.tool,
             "protocol": self.protocol,
             "phase": self.phase,
@@ -237,7 +242,6 @@ class Transcript:
             unveil=field(payload, "unveil", OPTIONAL_OBJECT, "transcript"),
             verify=field(payload, "verify", OPTIONAL_OBJECT, "transcript"),
             strategy=field(payload, "strategy", OPTIONAL_OBJECT, "transcript"),
-            version=version,
             tool=field(payload, "tool", str, "transcript"),
         )
 
@@ -246,12 +250,11 @@ class Transcript:
             raise PhaseOrderError(
                 f"unveil requires phase 'committed', transcript is '{self.phase}'"
             )
+        digest = field(self.commit, "string_sha256", _OPTIONAL_STRING, "commit")
         matches = None
-        if self.commit.get("string_sha256") is not None:
-            matches = (
-                commitment_hash(self.commit["salt"], claimed)
-                == self.commit["string_sha256"]
-            )
+        if digest is not None:
+            salt = field(self.commit, "salt", str, "commit")
+            matches = commitment_hash(salt, claimed) == digest
         return replace(
             self,
             phase="unveiled",

@@ -4,7 +4,9 @@ Tensor products, Haar-random states, the two-state Helstrom value and the
 overlap sums behind the reveal-set cap are independent ways of computing
 what the library computes in closed form or from smaller objects; the
 tests compare the two.  The recursive ``isinstance`` JSON writer is the
-slow path that the type-dispatch canonical JSON writer replaced.
+slow path that the type-dispatch canonical JSON writer replaced.  The full
+phase-fixed eigendecomposition is what the single top-eigenvector path of
+``optimal_cheat_state`` must agree with.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qbsc.errors import InputError, NumericalError
-from qbsc.linalg import DensityMatrix, HermitianOp, Ket, projector
+from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh, projector
 from qbsc.transcript import format_float
 
 MAX_TENSOR_DIM = 2**22
@@ -48,6 +50,21 @@ def tensor_op(a: HermitianOp, b: HermitianOp) -> HermitianOp:
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         return DensityMatrix(product)
     return HermitianOp(product)
+
+
+def eig_hermitian(h: HermitianOp) -> tuple[np.ndarray, tuple[Ket, ...]]:
+    """Full eigendecomposition with deterministic ordering and phases.
+
+    Eigenvalues come back ascending; each eigenvector is rotated so its
+    first non-negligible component is positive real.
+    """
+    w, v = _eigh(h.mat)
+    v = np.array(v, dtype=complex)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        pivot = col[int(np.argmax(np.abs(col) > 1e-8))]
+        v[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return w, tuple(Ket(v[:, j]) for j in range(v.shape[1]))
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:

@@ -11,7 +11,6 @@ from qbsc import (
     binding_bound1,
     brute_force_guess_all,
     custom_state_strategy,
-    eig_hermitian,
     encode_bit,
     equality_configuration,
     generate_certified_codebook,
@@ -25,7 +24,7 @@ from qbsc import (
 from qbsc.linalg import HermitianOp
 from qbsc.protocol2 import index_string
 
-from oracles import helstrom_two_state, random_ket
+from oracles import eig_hermitian, helstrom_two_state, random_ket
 
 
 @pytest.fixture(scope="module")

@@ -235,6 +235,27 @@ class TestSessionFlow:
         assert err.startswith("error:") and key in err
         assert t.read_bytes() == before
 
+    @pytest.mark.parametrize(
+        "salt", [MISSING, 5, None, "zz"], ids=["missing", "int", "null", "non-hex"]
+    )
+    def test_unveil_reads_salt_strictly(self, tmp_path, capsys, salt):
+        t = tmp_path / "session.json"
+        run("commit", "--bits", "1010", "--theta", 0.2, "--seed", 1,
+            "--transcript", t)
+        payload = json.loads(t.read_text())
+        assert payload["commit"]["string_sha256"] is not None
+        if salt is MISSING:
+            del payload["commit"]["salt"]
+        else:
+            payload["commit"]["salt"] = salt
+        t.write_text(json.dumps(payload))
+        before = t.read_bytes()
+        assert run("unveil", "--transcript", t, "--bits", "1010") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "salt" in err
+        assert "Traceback" not in err
+        assert t.read_bytes() == before
+
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
         other = tmp_path / "other.json"
         run("codebook", "gen", "--n", 32, "--k", 6, "--epsilon", 0.5,
@@ -302,6 +323,40 @@ class TestCodebookCommands:
         assert run("codebook", action, "--codebook", bad) == 2
         captured = capsys.readouterr()
         assert "generator row" in captured.err and "content_id" not in captured.out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epsilon_certified", "0.375"),
+            ("attempts", 1.0),
+            ("seed", 1.0),
+            ("version", True),
+            ("dim", 999),
+            ("k", MISSING),
+            ("generator", "00"),
+            ("prng_id", 7),
+            ("prng_id", "mt19937"),
+        ],
+        ids=["epsilon-string", "attempts-float", "seed-float", "version-true",
+             "dim-999", "k-missing", "generator-string", "prng_id-int",
+             "prng_id-unknown"],
+    )
+    @pytest.mark.parametrize("action", ["verify", "info"])
+    def test_mistyped_or_unknown_field_input_error(
+        self, tmp_path, codebook_path, capsys, key, value, action
+    ):
+        payload = json.loads(codebook_path.read_text())
+        if value is MISSING:
+            del payload[key]
+        else:
+            payload[key] = value
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps(payload))
+        assert run("codebook", action, "--codebook", bad) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and key in captured.err
+        assert "Traceback" not in captured.err
+        assert "content_id" not in captured.out
 
     def test_gen_beyond_exhaustive_regime_rejected_before_enumeration(
         self, tmp_path, monkeypatch

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -23,8 +25,8 @@ from qbsc import (
     rank_gf2,
     verify_epsilon,
 )
+from qbsc import Transcript, adversary, harness, linalg, protocol1, protocol2
 from qbsc import codebook as codebook_module
-from qbsc import protocol2
 from qbsc.codebook import _crosscheck_pairs, _hex_to_row, _row_to_hex, make_rng
 from qbsc.errors import NumericalError
 
@@ -135,7 +137,7 @@ class TestWeightEnumeration:
     )
     def test_structured_generators_match_explicit_enumeration(self, k, columns):
         generator = columns_generator(k, columns)
-        code = BinaryCode(generator=generator, seed=0, length=len(columns))
+        code = BinaryCode(generator=generator, seed=0)
         weights = code.nonzero_codeword_weights()
         assert weights.dtype == np.int64 and weights.shape == (2**k - 1,)
         assert weights.tolist() == enumerate_weights(generator)
@@ -162,7 +164,7 @@ class TestWeightEnumeration:
         assert code.nonzero_codeword_weights().tolist() == enumerate_weights(PINNED_4x16)
 
     def test_k0_has_no_nonzero_codewords(self):
-        code = BinaryCode(generator=np.zeros((0, 5), dtype=np.uint8), seed=0, length=5)
+        code = BinaryCode(generator=np.zeros((0, 5), dtype=np.uint8), seed=0)
         weights = code.nonzero_codeword_weights()
         assert weights.dtype == np.int64 and weights.size == 0
 
@@ -229,7 +231,7 @@ class TestVerifyEpsilon:
         assert verify_epsilon(cb) == 0.0
 
     def test_single_state_convention(self):
-        code = BinaryCode(generator=np.zeros((0, 4), dtype=np.uint8), seed=0, length=4)
+        code = BinaryCode(generator=np.zeros((0, 4), dtype=np.uint8), seed=0)
         cb = fingerprint_states(code)
         assert cb.size == 1
         assert verify_epsilon(cb) == 0.0
@@ -257,10 +259,10 @@ class TestGenerateCertified:
     def test_infeasible_reports_best(self):
         # length-4 codes with 7 nonzero words cannot all sit at weight 2
         with pytest.raises(CertificationError) as err:
-            generate_certified_codebook(4, 0.01, 3, seed=2, attempt_cap=20)
+            generate_certified_codebook(4, 0.01, 3, seed=2)
         assert err.value.best_epsilon is not None
         assert err.value.best_epsilon > 0.01
-        assert err.value.attempts == 20
+        assert err.value.attempts == codebook_module.DEFAULT_ATTEMPT_CAP
 
     def test_k_beyond_exhaustive_regime_rejected_before_drawing(self, monkeypatch):
         import qbsc.codebook as codebook_module
@@ -431,7 +433,7 @@ class TestBatchedCodewords:
 
     @pytest.mark.parametrize("m", [1, 9, 77, 130, 203])
     def test_k0_code_has_only_the_zero_word(self, m):
-        code = BinaryCode(generator=np.zeros((0, m), dtype=np.uint8), seed=0, length=m)
+        code = BinaryCode(generator=np.zeros((0, m), dtype=np.uint8), seed=0)
         assert np.array_equal(code.codewords([0, 0]), np.zeros((2, m), dtype=np.uint8))
         with pytest.raises(InputError):
             code.codeword(1)
@@ -648,3 +650,41 @@ class TestMakeRng:
             sequence = np.random.SeedSequence(11, spawn_key=key)
             expected = np.random.Generator(np.random.Philox(sequence)).random(4)
             assert np.array_equal(make_rng(11, *key).random(4), expected)
+
+
+class TestSettableSurface:
+    """The settable surface: every field and parameter pinned here is set by
+    a caller outside the tests, so one that is added back has to come with
+    an edit here that names its caller."""
+
+    @pytest.mark.parametrize(
+        "cls, names",
+        [
+            (BinaryCode, ["generator", "seed"]),
+            (Codebook, ["code", "epsilon_certified", "seed", "attempts"]),
+            (Transcript, ["protocol", "phase", "params", "seeds", "commit",
+                          "unveil", "verify", "strategy", "tool"]),
+        ],
+        ids=["BinaryCode", "Codebook", "Transcript"],
+    )
+    def test_fields(self, cls, names):
+        assert [f.name for f in dataclasses.fields(cls)] == names
+
+    @pytest.mark.parametrize(
+        "fn, names",
+        [
+            (harness.bound_sweep, ["thetas", "ns", "rs", "equality_configs",
+                                   "codebook", "cheat_samples", "seed"]),
+            (protocol1.smallest_hiding_n, ["theta", "r"]),
+            (protocol1.holevo_bound1, ["n", "theta"]),
+            (generate_certified_codebook, ["n", "epsilon_target", "k", "seed"]),
+            (adversary.custom_state_strategy, ["state"]),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_parameters(self, fn, names):
+        assert list(inspect.signature(fn).parameters) == names
+
+    def test_no_stale_limits_or_test_only_helpers(self):
+        assert not hasattr(protocol2, "EXACT_HIDING_MAX")
+        assert not hasattr(linalg, "eig_hermitian")

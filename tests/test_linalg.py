@@ -11,13 +11,19 @@ from qbsc import (
     InputError,
     Ket,
     binary_entropy,
-    eig_hermitian,
     projector,
     von_neumann_entropy,
 )
 from qbsc.linalg import _max_asymmetry
 
-from oracles import inner, random_density_matrix, random_ket, tensor, tensor_op
+from oracles import (
+    eig_hermitian,
+    inner,
+    random_density_matrix,
+    random_ket,
+    tensor,
+    tensor_op,
+)
 
 E0 = Ket(np.array([1.0, 0.0]))
 E1 = Ket(np.array([0.0, 1.0]))

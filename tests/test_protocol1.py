@@ -231,7 +231,7 @@ class TestHolevoBound:
 
     def test_n8_matches_brute_force(self):
         theta = 0.2
-        value = holevo_bound1(8, theta, cross_check=True)
+        value = holevo_bound1(8, theta)
         assert value == pytest.approx(8 * h2((1 + math.sin(theta)) / 2), abs=1e-12)
         brute = von_neumann_entropy(uniform_commitment_state(8, theta))
         assert abs(brute - value) <= 1e-8

@@ -23,8 +23,10 @@ from qbsc import (
     verify_unveil2,
     von_neumann_entropy,
 )
+from qbsc import protocol2
 from qbsc.linalg import DensityMatrix
 from qbsc.codebook import make_rng
+from qbsc.errors import NumericalError
 from qbsc.protocol2 import index_string, string_index
 
 from oracles import random_density_matrix, rayleigh_quotient_terms
@@ -296,7 +298,7 @@ class TestHiding2:
         assert hiding_bound2(cb) == 4.0
 
     def test_single_state_entropy_zero(self):
-        code = BinaryCode(generator=np.zeros((0, 8), dtype=np.uint8), seed=0, length=8)
+        code = BinaryCode(generator=np.zeros((0, 8), dtype=np.uint8), seed=0)
         cb = fingerprint_states(code)
         assert code_ensemble_entropy(cb) == pytest.approx(0.0, abs=1e-12)
         assert hiding_bound2(cb) == 3.0
@@ -363,3 +365,13 @@ class TestSmallMatrixSpectra:
         )))
         for cb in codebooks:
             assert abs(code_ensemble_entropy(cb) - dense_ensemble_entropy(cb)) <= 1e-10
+
+    def test_entropy_and_hiding_check_beyond_4096_states(self, monkeypatch):
+        # 2^13 states over dim 64, more than the 2^12 the check once stopped at
+        cb = generate_certified_codebook(64, 1.0, 13, seed=5)
+        assert cb.size == 8192
+        assert abs(code_ensemble_entropy(cb) - dense_ensemble_entropy(cb)) <= 1e-10
+        assert hiding_bound2(cb) == 6.0
+        monkeypatch.setattr(protocol2, "code_ensemble_entropy", lambda cb: 6.5)
+        with pytest.raises(NumericalError):
+            hiding_bound2(cb)
