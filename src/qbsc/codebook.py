@@ -9,14 +9,23 @@ codeword weights ``w``.  Certification is exhaustive over that weight
 enumeration: codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is
 the Walsh-Hadamard transform of the histogram of the generator's columns
 read as ``k``-bit integers, so all ``2^k`` weights cost ``O(m + k 2^k)``
-whatever the length.  Each certified number is enumerated once and then
-cross-checked against directly computed inner products of 100 seeded pairs,
-whose codewords are built in two batched calls.  A batch of codewords comes
+whatever the length.  The certificate reads only the smallest and the
+largest weight: ``|1 - 2 w / m|`` falls on ``w <= m/2`` and rises on
+``w >= m/2``, float rounding included, so the two extremes give the maximum
+to the bit.  It is cached on the immutable code, so each code is enumerated
+once however many times it is certified; a loaded codebook is enumerated on
+load and its verification adds only the cross-check against directly
+computed inner products of 100 seeded pairs.  The pairs are drawn in one
+call, each side's codewords come from one batched call, and each amplitude
+is written as the sign bit of ``1/sqrt(m)``.  A batch of codewords comes
 from the generator rows held as ``m``-bit integers: each message XORs the
 rows it selects, and one ``unpackbits`` turns the batch into a bit matrix.
+The same packed rows give the rank over GF(2) as the size of an XOR basis.
 Stored generator rows are hex strings of exactly ``ceil(m/4)`` lowercase
-digits, written and read through ``packbits``/``unpackbits``.  The dense
-per-message product ``bits @ G mod 2`` remains only as the tests' oracle.
+digits, written and read through ``packbits``/``unpackbits``, and a stored
+length above ``MAX_GENERATE_M`` is refused before any array is built.  The
+dense per-message product ``bits @ G mod 2`` remains only as the tests'
+oracle.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
 ``numpy.random.SeedSequence``; :func:`make_rng` builds every generator of the
@@ -73,34 +82,32 @@ def derive_seed(root: int, attempt: int) -> int:
 
 
 def rank_gf2(mat: np.ndarray) -> int:
-    """Rank of a 0/1 matrix over GF(2) by Gaussian elimination."""
-    m = np.array(mat, dtype=np.uint8) % 2
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivots = np.nonzero(m[rank:, c])[0]
-        if pivots.size == 0:
-            continue
-        piv = rank + int(pivots[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        hit = np.nonzero(m[:, c])[0]
-        hit = hit[hit != rank]
-        m[hit] ^= m[rank]
-        rank += 1
-    return rank
+    """Rank of a 0/1 matrix over GF(2).
+
+    Each row, packed into an integer, is reduced against an XOR basis whose
+    members have distinct leading bits and are kept largest first; a row
+    that does not reduce to zero joins the basis.
+    """
+    basis: list[int] = []
+    for value in _row_ints(np.array(mat, dtype=np.uint8) % 2):
+        for member in basis:
+            value = min(value, value ^ member)
+        if value:
+            basis.append(value)
+            basis.sort(reverse=True)
+    return len(basis)
 
 
-def _row_value(row: np.ndarray) -> int:
-    """A bit row as an integer whose most significant bit is bit 0."""
-    return int.from_bytes(np.packbits(row).tobytes(), "big") >> (-row.size % 8)
+def _row_ints(mat: np.ndarray) -> list[int]:
+    """Rows of a bit matrix as integers whose most significant bit is bit 0."""
+    packed = np.packbits(mat, axis=1)
+    shift = -mat.shape[1] % 8
+    return [int.from_bytes(row.tobytes(), "big") >> shift for row in packed]
 
 
 def _value_rows(values, m: int) -> np.ndarray:
     """``(len(values), m)`` uint8 bit rows of ``m``-bit integers, inverse of
-    :func:`_row_value`."""
+    :func:`_row_ints`."""
     width = (m + 7) // 8
     raw = b"".join([value.to_bytes(width, "big") for value in values])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
@@ -108,7 +115,7 @@ def _value_rows(values, m: int) -> np.ndarray:
 
 
 def _row_to_hex(row: np.ndarray) -> str:
-    return format(_row_value(row), f"0{max(1, (row.size + 3) // 4)}x")
+    return format(_row_ints(row[None])[0], f"0{max(1, (row.size + 3) // 4)}x")
 
 
 def _hex_to_row(text: str, m: int) -> np.ndarray:
@@ -151,7 +158,7 @@ class BinaryCode:
         object.__setattr__(self, "generator", gen)
         # rows as m-bit integers, last row first, so that bit i of a message
         # (least significant first) selects entry i
-        object.__setattr__(self, "_row_values", tuple(_row_value(r) for r in gen[::-1]))
+        object.__setattr__(self, "_row_values", tuple(_row_ints(gen[::-1])))
 
     @property
     def k(self) -> int:
@@ -202,6 +209,21 @@ class BinaryCode:
             np.add(top, bottom, out=spectrum[:, 0])
             np.subtract(top, bottom, out=spectrum[:, 1])
         return (self.m - spectrum.ravel()[1:]) // 2
+
+    @functools.cached_property
+    def _epsilon(self) -> float:
+        """Maximum overlap ``|1 - 2 w / m|`` over the nonzero codeword weights.
+
+        The expression falls on ``w <= m/2`` and rises on ``w >= m/2``, and
+        so does its float rounding, so the smallest and the largest weight
+        give the maximum over all of them, to the bit.  Enumerated once per
+        code.
+        """
+        weights = self.nonzero_codeword_weights()
+        if weights.size == 0:
+            return 0.0
+        extremes = (int(weights.min()), int(weights.max()))
+        return max(abs(1.0 - 2.0 * w / self.m) for w in extremes)
 
 
 def generate_code(k: int, m: int, seed: int) -> BinaryCode:
@@ -275,7 +297,8 @@ class Codebook:
         Every field is read strictly (see :func:`qbsc.transcript.field`):
         ``version``, ``dim``, ``k``, ``m``, ``seed`` and ``attempts`` must be
         JSON integers, ``epsilon_certified`` a number and ``prng_id`` the one
-        scheme this package draws with.  States are re-derived from the
+        scheme this package draws with; ``m`` above ``MAX_GENERATE_M`` is
+        refused before any array is built.  States are re-derived from the
         generator; the maximum overlap is recomputed from the codeword
         weights and must match the stored certificate exactly.
         """
@@ -298,8 +321,10 @@ class Codebook:
         k, m, dim = read("k", int), read("m", int), read("dim", int)
         if dim != m:
             raise InputError(f"codebook.dim {dim} differs from codebook.m {m}")
+        if not 1 <= m <= MAX_GENERATE_M:
+            raise InputError(f"codebook.m {m} outside [1, {MAX_GENERATE_M}]")
         rows = read("generator", list)
-        if m < 1 or len(rows) != k:
+        if len(rows) != k:
             raise InputError(
                 f"codebook has {len(rows)} generator rows for k = {k}, m = {m}"
             )
@@ -312,7 +337,7 @@ class Codebook:
         code = BinaryCode(gen.reshape(k, m), seed=derive_seed(seed, attempts - 1))
         epsilon = float(read("epsilon_certified", REAL))
         cb = cls(code=code, epsilon_certified=epsilon, seed=seed, attempts=attempts)
-        recomputed = _epsilon_from_weights(cb.code)
+        recomputed = code._epsilon
         if recomputed != cb.epsilon_certified:
             raise CertificationError(
                 f"stored certificate {cb.epsilon_certified!r} does not match "
@@ -331,8 +356,13 @@ class Codebook:
 
 
 def _amplitudes(words: np.ndarray) -> np.ndarray:
-    """Sign-pattern amplitudes +-1/sqrt(m) of codeword bits (last axis)."""
-    return (1.0 - 2.0 * words.astype(float)) / math.sqrt(words.shape[-1])
+    """Sign-pattern amplitudes ``(-1)^c / sqrt(m)`` of codeword bits ``c``
+    (last axis): each bit is written as the sign bit of ``1/sqrt(m)``."""
+    magnitude = np.float64(1.0 / math.sqrt(words.shape[-1])).view(np.uint64)
+    amplitudes = words.astype(np.uint64)
+    amplitudes <<= 63
+    amplitudes |= magnitude
+    return amplitudes.view(np.float64)
 
 
 def _require_exhaustive(k: int) -> None:
@@ -343,17 +373,10 @@ def _require_exhaustive(k: int) -> None:
         )
 
 
-def _epsilon_from_weights(code: BinaryCode) -> float:
-    weights = code.nonzero_codeword_weights()
-    if weights.size == 0:
-        return 0.0
-    return float(np.abs(1.0 - 2.0 * weights / code.m).max())
-
-
 def fingerprint_states(code: BinaryCode) -> Codebook:
     """Codebook of sign-pattern states for a code, certified at construction."""
     _require_exhaustive(code.k)
-    epsilon = _epsilon_from_weights(code)
+    epsilon = code._epsilon
     cb = Codebook(code=code, epsilon_certified=epsilon, seed=code.seed, attempts=1)
     _crosscheck_pairs(cb, epsilon)
     return cb
@@ -368,7 +391,7 @@ def verify_epsilon(cb: Codebook) -> float:
     products.
     """
     _require_exhaustive(cb.code.k)
-    epsilon = _epsilon_from_weights(cb.code)
+    epsilon = cb.code._epsilon
     _crosscheck_pairs(cb, epsilon)
     return epsilon
 
@@ -377,21 +400,22 @@ def _crosscheck_pairs(cb: Codebook, epsilon: float) -> None:
     """Check seeded random pairs' direct inner products against the overlap
     identity and against the enumerated ``epsilon``.
 
-    Both sides' codewords come from one batched call each.
+    The pairs are drawn in one call and both sides' codewords come from one
+    batched call each.
     """
     if cb.size < 2:
         return
     rng = make_rng(cb.code.seed, _TAG_CROSSCHECK)
-    pairs = []
-    for _ in range(_CROSSCHECK_PAIRS):
-        i = int(rng.integers(0, cb.size))
-        j = int(rng.integers(0, cb.size - 1))
-        pairs.append((i, j + (j >= i)))
-    words_i = cb.code.codewords([i for i, _ in pairs])
-    words_j = cb.code.codewords([j for _, j in pairs])
+    draws = rng.integers(0, np.tile([cb.size, cb.size - 1], _CROSSCHECK_PAIRS))
+    firsts, seconds = draws[0::2], draws[1::2]
+    seconds += seconds >= firsts
+    firsts, seconds = firsts.tolist(), seconds.tolist()
+    words_i = cb.code.codewords(firsts)
+    words_j = cb.code.codewords(seconds)
     overlaps = np.einsum("pa,pa->p", _amplitudes(words_i), _amplitudes(words_j))
     distances = np.count_nonzero(words_i != words_j, axis=1)
-    for (i, j), direct, d in zip(pairs, overlaps.tolist(), distances.tolist()):
+    checks = zip(firsts, seconds, overlaps.tolist(), distances.tolist())
+    for i, j, direct, d in checks:
         predicted = 1.0 - 2.0 * d / cb.code.m
         if abs(direct - predicted) > OVERLAP_IDENTITY_TOL:
             raise NumericalError(
@@ -423,7 +447,7 @@ def generate_certified_codebook(
     best = math.inf
     for attempt in range(DEFAULT_ATTEMPT_CAP):
         code = generate_code(k, n, derive_seed(seed, attempt))
-        epsilon = _epsilon_from_weights(code)
+        epsilon = code._epsilon
         if epsilon <= epsilon_target:
             cb = Codebook(
                 code=code,

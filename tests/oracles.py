@@ -6,7 +6,10 @@ what the library computes in closed form or from smaller objects; the
 tests compare the two.  The recursive ``isinstance`` JSON writer is the
 slow path that the type-dispatch canonical JSON writer replaced.  The full
 phase-fixed eigendecomposition is what the single top-eigenvector path of
-``optimal_cheat_state`` must agree with.
+``optimal_cheat_state`` must agree with.  Per-column Gaussian elimination is
+the slow rank that the packed-row XOR basis replaced, and the overlap
+expression over every codeword weight is the slow form of the certificate
+that reads only the two extreme weights.
 """
 
 from __future__ import annotations
@@ -196,3 +199,32 @@ def _write(obj, out: list[str]) -> None:
         out.append("]")
     else:
         raise InputError(f"cannot serialize {type(obj).__name__}")
+
+
+def elimination_rank_gf2(mat: np.ndarray) -> int:
+    """Rank of a 0/1 matrix over GF(2) by Gaussian elimination."""
+    m = np.array(mat, dtype=np.uint8) % 2
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivots = np.nonzero(m[rank:, c])[0]
+        if pivots.size == 0:
+            continue
+        piv = rank + int(pivots[0])
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != rank]
+        m[hit] ^= m[rank]
+        rank += 1
+    return rank
+
+
+def all_weights_epsilon(code) -> float:
+    """Maximum overlap ``|1 - 2 w / m|`` over every nonzero codeword weight."""
+    weights = code.nonzero_codeword_weights()
+    if weights.size == 0:
+        return 0.0
+    return float(np.abs(1.0 - 2.0 * weights / code.m).max())

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from qbsc.cli import main
+from qbsc.codebook import MAX_GENERATE_M, PRNG_ID
 
 
 MISSING = object()
@@ -355,6 +356,21 @@ class TestCodebookCommands:
         assert run("codebook", action, "--codebook", bad) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and key in captured.err
+        assert "Traceback" not in captured.err
+        assert "content_id" not in captured.out
+
+    @pytest.mark.parametrize("m", [MAX_GENERATE_M + 1, 10**9])
+    @pytest.mark.parametrize("action", ["verify", "info"])
+    def test_oversized_length_input_error(self, tmp_path, capsys, m, action):
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps({
+            "version": 1, "dim": m, "k": 0, "m": m, "seed": 0,
+            "prng_id": PRNG_ID, "generator": [], "epsilon_certified": 0.0,
+            "attempts": 1,
+        }))
+        assert run("codebook", action, "--codebook", bad) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "codebook.m" in captured.err
         assert "Traceback" not in captured.err
         assert "content_id" not in captured.out
 

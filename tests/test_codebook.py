@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +30,8 @@ from qbsc import Transcript, adversary, harness, linalg, protocol1, protocol2
 from qbsc import codebook as codebook_module
 from qbsc.codebook import _crosscheck_pairs, _hex_to_row, _row_to_hex, make_rng
 from qbsc.errors import NumericalError
+
+from oracles import all_weights_epsilon, elimination_rank_gf2
 
 # 4x16 generator whose 15 nonzero codeword weights span exactly [6, 10]
 PINNED_4x16 = np.array(
@@ -66,6 +69,27 @@ class TestRankGf2:
     def test_dependent_rows(self):
         mat = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.uint8)
         assert rank_gf2(mat) == 2
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_elimination(self, data):
+        m = data.draw(st.integers(0, 70), label="m")
+        row = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+        rows = data.draw(st.lists(row, max_size=20), label="rows")
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=4), label="repeats")
+        rows += [[0] * m] * data.draw(st.integers(0, 2), label="zero rows")
+        rows = data.draw(st.permutations(rows), label="order")
+        mat = np.array(rows, dtype=np.uint8).reshape(len(rows), m)
+        assert rank_gf2(mat) == elimination_rank_gf2(mat)
+
+    @pytest.mark.parametrize("k, m", [(0, 5), (3, 0), (5, 3), (20, 16), (16, 1024)])
+    def test_matches_elimination_on_drawn_shapes(self, k, m):
+        rng = np.random.default_rng(100 * k + m)
+        mat = rng.integers(0, 2, size=(k, m), dtype=np.uint8)
+        if k > 1:
+            mat[-1] = mat[0] ^ mat[1]
+        assert rank_gf2(mat) == elimination_rank_gf2(mat)
 
 
 class TestGenerateCode:
@@ -117,24 +141,26 @@ def columns_generator(k, columns):
 
 UNITS_16 = [1 << i for i in range(16)]
 
+STRUCTURED_GENERATORS = pytest.mark.parametrize(
+    "k, columns",
+    [
+        (0, [0] * 5),
+        (1, [1] * 11),  # every column equal
+        (1, [0, 1, 0, 0, 1, 1, 0]),
+        (5, [16, 8, 4, 2, 1, 0, 7, 0, 31, 19, 0, 5, 12]),  # zero columns
+        (7, [1, 2, 4, 8, 16, 32, 64] * 3 + [3] * 5),  # repeated columns
+        (13, [(37 * i) % 8192 for i in range(77)] + UNITS_16[:13]),
+        (16, UNITS_16 * 2 + [0, 65535, 65535]),
+    ],
+    ids=["k0", "k1-all-equal", "k1", "k5-zero-columns", "k7-repeated",
+         "k13-m90", "k16-m35"],
+)
+
 
 class TestWeightEnumeration:
     """The Walsh-Hadamard enumeration against the dense product."""
 
-    @pytest.mark.parametrize(
-        "k, columns",
-        [
-            (0, [0] * 5),
-            (1, [1] * 11),  # every column equal
-            (1, [0, 1, 0, 0, 1, 1, 0]),
-            (5, [16, 8, 4, 2, 1, 0, 7, 0, 31, 19, 0, 5, 12]),  # zero columns
-            (7, [1, 2, 4, 8, 16, 32, 64] * 3 + [3] * 5),  # repeated columns
-            (13, [(37 * i) % 8192 for i in range(77)] + UNITS_16[:13]),
-            (16, UNITS_16 * 2 + [0, 65535, 65535]),
-        ],
-        ids=["k0", "k1-all-equal", "k1", "k5-zero-columns", "k7-repeated",
-             "k13-m90", "k16-m35"],
-    )
+    @STRUCTURED_GENERATORS
     def test_structured_generators_match_explicit_enumeration(self, k, columns):
         generator = columns_generator(k, columns)
         code = BinaryCode(generator=generator, seed=0)
@@ -167,6 +193,29 @@ class TestWeightEnumeration:
         code = BinaryCode(generator=np.zeros((0, 5), dtype=np.uint8), seed=0)
         weights = code.nonzero_codeword_weights()
         assert weights.dtype == np.int64 and weights.size == 0
+
+
+class TestEpsilonFromExtremes:
+    """The certificate read from the two extreme weights against the overlap
+    expression over every weight."""
+
+    @STRUCTURED_GENERATORS
+    def test_structured_generators(self, k, columns):
+        code = BinaryCode(generator=columns_generator(k, columns), seed=0)
+        assert code._epsilon == all_weights_epsilon(code)
+
+    @pytest.mark.parametrize("draw", range(64))
+    def test_random_codes(self, draw):
+        k = 1 + draw % 16
+        m = 2 * (k + draw * 37 % 150) - draw % 2  # odd m for odd draws
+        code = generate_code(k, m, seed=draw)
+        assert code._epsilon == all_weights_epsilon(code)
+
+    def test_expression_is_monotone_on_each_side_for_every_allowed_m(self):
+        for m in range(1, codebook_module.MAX_GENERATE_M + 1):
+            overlap = np.abs(1.0 - 2.0 * np.arange(m + 1) / m)
+            assert (np.diff(overlap[: m // 2 + 1]) <= 0).all()  # w <= m/2
+            assert (np.diff(overlap[(m + 1) // 2 :]) >= 0).all()  # w >= m/2
 
 
 class TestFingerprintStates:
@@ -543,6 +592,18 @@ class TestCrosscheck:
         pairs = old_crosscheck_pairs(cb)
         assert batches == [[i for i, _ in pairs], [j for _, j in pairs]]
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_one_call_draws_the_pairs_of_the_per_pair_loop_at_every_k(
+        self, monkeypatch, k
+    ):
+        batches = record_codewords(monkeypatch)
+        for seed in (k, 1000 + k, 2**40 + k):
+            cb = fingerprint_states(generate_code(k, k + 9, seed))
+            batches.clear()
+            _crosscheck_pairs(cb, cb.epsilon_certified)
+            pairs = old_crosscheck_pairs(cb)
+            assert batches == [[i for i, _ in pairs], [j for _, j in pairs]]
+
     def test_corrupted_codeword_names_its_pair(self, monkeypatch):
         cb = generate_certified_codebook(32, 0.5, 6, seed=1)
         pairs = old_crosscheck_pairs(cb)
@@ -611,6 +672,91 @@ class TestNoPerMessageWork:
         calls.clear()
         protocol2.cheat_set_gram(cb, protocol2.cheat_set_for(cb, [3, 17, 40]))
         assert calls == ["codewords"]
+
+
+class TestEnumeratedOnce:
+    """Each code's weights are enumerated once, whatever certifies it."""
+
+    @pytest.fixture()
+    def enumerations(self, monkeypatch):
+        calls = []
+        counting_method(monkeypatch, BinaryCode, "nonzero_codeword_weights", calls)
+        return calls
+
+    def test_cached_on_the_code(self, enumerations):
+        code = generate_code(6, 32, seed=1)
+        assert code._epsilon == code._epsilon == 0.375
+        assert len(enumerations) == 1
+
+    def test_load_then_verify(self, enumerations):
+        text = generate_certified_codebook(64, 0.75, 5, seed=9).to_json()
+        enumerations.clear()
+        loaded = Codebook.from_json(text)
+        assert verify_epsilon(loaded) == loaded.epsilon_certified
+        assert len(enumerations) == 1
+
+    @pytest.mark.parametrize(
+        "n, eps, k, seed, attempts", [(64, 0.25, 6, 3, 4), (32, 0.5, 6, 1, 1)]
+    )
+    def test_generate_once_per_attempt(self, enumerations, n, eps, k, seed, attempts):
+        cb = generate_certified_codebook(n, eps, k, seed)
+        assert cb.attempts == attempts
+        assert len(enumerations) == attempts
+        verify_epsilon(cb)
+        assert len(enumerations) == attempts
+
+    def test_generate_exhausted(self, enumerations):
+        with pytest.raises(CertificationError):
+            generate_certified_codebook(4, 0.01, 3, seed=2)
+        assert len(enumerations) == codebook_module.DEFAULT_ATTEMPT_CAP
+
+    @pytest.mark.parametrize("stored", [0.5, float(np.nextafter(0.375, 1.0)), 0.0])
+    def test_disagreeing_stored_epsilon_refused_on_load(self, stored):
+        payload = json.loads(generate_certified_codebook(32, 0.5, 6, seed=1).to_json())
+        payload["epsilon_certified"] = stored
+        with pytest.raises(CertificationError) as err:
+            Codebook.from_json(json.dumps(payload))
+        assert err.value.best_epsilon == 0.375
+
+    def test_verify_returns_enumerated_not_stored(self):
+        code = generate_certified_codebook(32, 0.5, 6, seed=1).code
+        cb = Codebook(code=code, epsilon_certified=0.9, seed=1, attempts=1)
+        assert verify_epsilon(cb) == 0.375
+
+
+class TestLengthLimitOnLoad:
+    """``Codebook.from_json`` refuses ``m > MAX_GENERATE_M`` before it builds
+    any array."""
+
+    def document(self, m):
+        """A k = 0 codebook document of length ``m``: no generator rows."""
+        return json.dumps({
+            "version": 1, "dim": m, "k": 0, "m": m, "seed": 5,
+            "prng_id": codebook_module.PRNG_ID, "generator": [],
+            "epsilon_certified": 0.0, "attempts": 1,
+        })
+
+    @pytest.mark.parametrize("m", [codebook_module.MAX_GENERATE_M + 1, 10**6, 10**9])
+    def test_refused_before_enumeration(self, monkeypatch, m):
+        def never(self):
+            raise AssertionError("weights enumerated for an oversized length")
+
+        monkeypatch.setattr(BinaryCode, "nonzero_codeword_weights", never)
+        text = self.document(m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="codebook.m"):
+                Codebook.from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_limit_itself_loads(self):
+        m = codebook_module.MAX_GENERATE_M
+        assert Codebook.from_json(self.document(m)).dim == m
+        text = generate_certified_codebook(m, 1.0, 3, seed=5).to_json()
+        assert Codebook.from_json(text).to_json() == text
 
 
 class TestContentId:
