@@ -105,6 +105,12 @@ def _row_ints(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "big") >> shift for row in packed]
 
 
+def _column_values(gen: np.ndarray) -> np.ndarray:
+    """Columns of a ``(k, m)`` bit matrix as k-bit integers, row 0 most
+    significant (all zeros when ``k = 0``)."""
+    return np.dot(1 << np.arange(gen.shape[0] - 1, -1, -1), gen)
+
+
 def _value_rows(values, m: int) -> np.ndarray:
     """``(len(values), m)`` uint8 bit rows of ``m``-bit integers, inverse of
     :func:`_row_ints`."""
@@ -201,8 +207,7 @@ class BinaryCode:
         moves it to the end, so after k passes the order is restored.
         """
         k = self.k
-        columns = np.dot(1 << np.arange(k - 1, -1, -1), self.generator)
-        spectrum = np.bincount(columns, minlength=2**k)
+        spectrum = np.bincount(_column_values(self.generator), minlength=2**k)
         for _ in range(k):
             top, bottom = spectrum.reshape(2, -1)
             spectrum = np.empty((top.size, 2), dtype=np.int64)
@@ -229,7 +234,8 @@ class BinaryCode:
 def generate_code(k: int, m: int, seed: int) -> BinaryCode:
     """Draw a seeded random full-rank generator; identical seeds reproduce it.
 
-    Redraws from the same stream on rank deficiency, up to 1000 times.
+    Redraws from the same stream on rank deficiency, up to 1000 times.  The
+    rank is the one ``BinaryCode`` checks, so each draw is ranked once.
     """
     if not 1 <= k <= MAX_EXHAUSTIVE_K:
         raise InputError(f"k = {k} outside [1, {MAX_EXHAUSTIVE_K}]")
@@ -238,8 +244,10 @@ def generate_code(k: int, m: int, seed: int) -> BinaryCode:
     rng = make_rng(seed)
     for _ in range(1000):
         gen = rng.integers(0, 2, size=(k, m), dtype=np.uint8)
-        if rank_gf2(gen) == k:
+        try:
             return BinaryCode(generator=gen, seed=int(seed))
+        except InputError:  # the one check a k x m 0/1 draw can fail: rank
+            continue
     raise GenerationError(
         f"no full-rank {k}x{m} generator after 1000 draws (seed {seed})"
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, capacity
+from .codebook import Codebook, _column_values, capacity
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import projection_probability
@@ -186,8 +186,11 @@ def code_ensemble_entropy(cb: Codebook) -> float:
 
     The mixture is block diagonal over classes of equal generator columns,
     and a class of ``t`` columns contributes the single eigenvalue ``t / m``.
+    The classes are counted in the order of their columns read as k-bit
+    integers.
     """
-    counts = np.unique(cb.code.generator.T, axis=0, return_counts=True)[1]
+    counts = np.bincount(_column_values(cb.code.generator))
+    counts = counts[counts > 0]
     return float(np.dot(counts / cb.dim, np.log2(cb.dim / counts)))
 
 

@@ -9,7 +9,10 @@ phase-fixed eigendecomposition is what the single top-eigenvector path of
 ``optimal_cheat_state`` must agree with.  Per-column Gaussian elimination is
 the slow rank that the packed-row XOR basis replaced, and the overlap
 expression over every codeword weight is the slow form of the certificate
-that reads only the two extreme weights.
+that reads only the two extreme weights.  One ``eigvalsh`` of the whole
+matrix is the spectrum that the two blocks of a declared involution
+replaced, and ``np.unique`` over the generator's columns the count of equal
+columns that a histogram of their integer values replaced.
 """
 
 from __future__ import annotations
@@ -228,3 +231,16 @@ def all_weights_epsilon(code) -> float:
     if weights.size == 0:
         return 0.0
     return float(np.abs(1.0 - 2.0 * weights / code.m).max())
+
+
+def full_spectrum(mat: np.ndarray, involution: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues from one solve of the whole matrix; the
+    involution is accepted and ignored, so this can stand in for the
+    library's block solve."""
+    return np.linalg.eigvalsh(mat)
+
+
+def unique_column_counts(generator: np.ndarray) -> np.ndarray:
+    """Multiplicity of each distinct generator column, in lexicographic
+    order of the columns read top to bottom."""
+    return np.unique(np.asarray(generator).T, axis=0, return_counts=True)[1]

@@ -28,10 +28,16 @@ from qbsc import (
 )
 from qbsc import Transcript, adversary, harness, linalg, protocol1, protocol2
 from qbsc import codebook as codebook_module
-from qbsc.codebook import _crosscheck_pairs, _hex_to_row, _row_to_hex, make_rng
+from qbsc.codebook import (
+    _column_values,
+    _crosscheck_pairs,
+    _hex_to_row,
+    _row_to_hex,
+    make_rng,
+)
 from qbsc.errors import NumericalError
 
-from oracles import all_weights_epsilon, elimination_rank_gf2
+from oracles import all_weights_epsilon, elimination_rank_gf2, unique_column_counts
 
 # 4x16 generator whose 15 nonzero codeword weights span exactly [6, 10]
 PINNED_4x16 = np.array(
@@ -724,6 +730,62 @@ class TestEnumeratedOnce:
         assert verify_epsilon(cb) == 0.375
 
 
+class TestRankedOnce:
+    """Each drawn generator is ranked once, by the ``BinaryCode`` it becomes."""
+
+    # (3, 3, 2) and (5, 5, 5) take 6 and 7 draws before a full-rank one
+    @pytest.mark.parametrize("k, m, seed", [(3, 3, 2), (5, 5, 5), (6, 32, 1), (16, 1024, 2)])
+    def test_one_rank_per_draw(self, monkeypatch, k, m, seed):
+        ranks = []
+        original = codebook_module.rank_gf2
+        monkeypatch.setattr(
+            codebook_module, "rank_gf2", lambda mat: ranks.append(1) or original(mat)
+        )
+        code = generate_code(k, m, seed)
+        rng, draws = make_rng(seed), 0
+        while True:
+            draws += 1
+            drawn = rng.integers(0, 2, size=(k, m), dtype=np.uint8)
+            if elimination_rank_gf2(drawn) == k:
+                break
+        assert np.array_equal(code.generator, drawn)
+        assert len(ranks) == draws
+
+    def test_rank_deficient_generator_still_refused(self):
+        with pytest.raises(InputError, match="full row rank"):
+            BinaryCode(generator=np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8), seed=0)
+
+
+class TestColumnCounts:
+    """Equal generator columns are counted by a histogram of their k-bit
+    values, in the order ``np.unique`` gives them."""
+
+    @staticmethod
+    def unique_count_entropy(generator):
+        counts = unique_column_counts(generator)
+        m = generator.shape[1]
+        return float(np.dot(counts / m, np.log2(m / counts)))
+
+    @STRUCTURED_GENERATORS
+    def test_structured_generators(self, k, columns):
+        generator = columns_generator(k, columns)
+        histogram = np.bincount(_column_values(generator))
+        assert np.array_equal(histogram[histogram > 0], unique_column_counts(generator))
+        code = BinaryCode(generator=generator, seed=0)
+        entropy = protocol2.code_ensemble_entropy(SimpleNamespace(code=code, dim=code.m))
+        assert entropy == self.unique_count_entropy(generator)
+
+    # m = 300 > 2^8 forces repeated columns at k = 8
+    @pytest.mark.parametrize(
+        "k, m, seed", [(1, 7, 0), (4, 9, 2), (8, 300, 3), (10, 1024, 4), (16, 64, 5)]
+    )
+    def test_random_codes(self, k, m, seed):
+        cb = fingerprint_states(generate_code(k, m, seed))
+        assert protocol2.code_ensemble_entropy(cb) == self.unique_count_entropy(
+            cb.code.generator
+        )
+
+
 class TestLengthLimitOnLoad:
     """``Codebook.from_json`` refuses ``m > MAX_GENERATE_M`` before it builds
     any array."""
@@ -807,11 +869,12 @@ class TestSettableSurface:
         "cls, names",
         [
             (BinaryCode, ["generator", "seed"]),
+            (linalg.DensityMatrix, ["mat", "involution"]),
             (Codebook, ["code", "epsilon_certified", "seed", "attempts"]),
             (Transcript, ["protocol", "phase", "params", "seeds", "commit",
                           "unveil", "verify", "strategy", "tool"]),
         ],
-        ids=["BinaryCode", "Codebook", "Transcript"],
+        ids=["BinaryCode", "DensityMatrix", "Codebook", "Transcript"],
     )
     def test_fields(self, cls, names):
         assert [f.name for f in dataclasses.fields(cls)] == names

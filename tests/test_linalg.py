@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,13 @@ from qbsc import (
     projector,
     von_neumann_entropy,
 )
+from qbsc.codebook import make_rng
+from qbsc.errors import NumericalError
 from qbsc.linalg import _max_asymmetry
 
 from oracles import (
     eig_hermitian,
+    full_spectrum,
     inner,
     random_density_matrix,
     random_ket,
@@ -296,6 +300,60 @@ class TestDensityMatrix:
     def test_spectrum_cached_ascending(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]))
         assert np.allclose(rho.spectrum, [0.25, 0.75])
+
+
+def involution_of(pairs, dim):
+    perm = np.arange(dim)
+    for a, b in pairs:
+        perm[a], perm[b] = b, a
+    return perm
+
+
+class TestInvolutionSpectrum:
+    """The block solve under a declared involution against one full solve."""
+
+    @pytest.mark.parametrize(
+        "dim, pairs",
+        [(1, []), (2, [(0, 1)]), (3, [(0, 2)]), (5, [(0, 3), (1, 4)]),
+         (8, [(0, 7), (1, 2), (3, 5)]), (9, [(i, 8 - i) for i in range(4)])],
+    )
+    @pytest.mark.parametrize("real", [True, False])
+    def test_matches_full_solve_on_symmetrised_states(self, dim, pairs, real):
+        perm = involution_of(pairs, dim)
+        rho = random_density_matrix(dim, make_rng(dim)).mat
+        if real:
+            rho = rho.real
+        commuting = (rho + rho[np.ix_(perm, perm)]) / 2
+        blocks = DensityMatrix(commuting, involution=perm)
+        assert np.max(np.abs(blocks.spectrum - full_spectrum(commuting))) <= 1e-14
+        assert blocks.mat.dtype == (np.float64 if real else np.complex128)
+
+    def test_non_commuting_state_refused(self):
+        mat = np.diag([0.5, 0.3, 0.2])  # symmetric, trace 1, PSD
+        DensityMatrix(mat)
+        with pytest.raises(NumericalError, match="does not commute"):
+            DensityMatrix(mat, involution=[1, 0, 2])
+        rho = random_density_matrix(8, make_rng(3))
+        with pytest.raises(NumericalError, match="does not commute"):
+            DensityMatrix(rho.mat, involution=[0, 4, 2, 6, 1, 5, 3, 7])
+
+    @pytest.mark.parametrize(
+        "perm",
+        [[0, 1], [0, 1, 2, 3], [1, 2, 0], [0, 0, 2], [0, 1, 3], [-1, 1, 2],
+         [0.0, 1.0, 2.0], [[0, 1, 2]], [True, False, True], "012"],
+        ids=["short", "long", "3-cycle", "repeated", "out-of-range", "negative",
+             "float", "2-D", "bool", "string"],
+    )
+    def test_index_array_must_be_an_involution(self, perm):
+        with pytest.raises(InputError, match="involution"):
+            DensityMatrix(np.eye(3) / 3, involution=perm)
+
+    def test_involution_neither_compared_nor_shown(self):
+        spec = {f.name: f for f in dataclasses.fields(DensityMatrix)}["involution"]
+        assert spec.compare is False and spec.repr is False
+        rho = DensityMatrix(np.eye(2) / 2, involution=np.array([1, 0]))
+        assert rho.involution.tolist() == [1, 0]
+        assert not rho.involution.flags.writeable
 
 
 class TestEntropy:

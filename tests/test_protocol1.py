@@ -23,9 +23,11 @@ from qbsc import (
     verify_unveil,
     von_neumann_entropy,
 )
+from qbsc import linalg
 from qbsc.codebook import make_rng
+from qbsc.linalg import DensityMatrix
 
-from oracles import random_density_matrix, tensor
+from oracles import full_spectrum, random_density_matrix, tensor
 
 
 def h2(p):
@@ -212,6 +214,36 @@ class TestUniformCommitmentState:
             rho = uniform_commitment_state(n, theta)
             assert rho.mat.dtype == np.float64
             assert np.max(np.abs(rho.mat - columns @ columns.T / 2**n)) <= 1e-12
+
+    def test_dense_matrix_is_the_kron_power_to_the_bit(self):
+        single = uniform_commitment_state(1, 0.3).mat
+        power = single
+        for n in range(2, 11):
+            power = np.kron(power, single)
+            assert np.array_equal(uniform_commitment_state(n, 0.3).mat, power)
+
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 1.2, math.pi / 2 - 1e-3])
+    def test_block_spectrum_matches_the_full_solve(self, theta):
+        for n in range(1, 11):
+            rho = uniform_commitment_state(n, theta)
+            full = full_spectrum(rho.mat)
+            assert np.max(np.abs(rho.spectrum - full)) <= 1e-14
+            slow = von_neumann_entropy(DensityMatrix(rho.mat))
+            assert abs(von_neumann_entropy(rho) - slow) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_solved_on_the_two_blocks_of_the_qubit_reversal(self, monkeypatch, n):
+        reversed_bits = [int(format(x, f"0{n}b")[::-1], 2) for x in range(2**n)]
+        sizes = []
+        solve = linalg._eigvalsh
+        monkeypatch.setattr(
+            linalg, "_eigvalsh", lambda mat: sizes.append(mat.shape) or solve(mat)
+        )
+        rho = uniform_commitment_state(n, 0.3)
+        assert rho.involution.tolist() == reversed_bits
+        fixed = 2 ** ((n + 1) // 2)
+        even, odd = (2**n + fixed) // 2, (2**n - fixed) // 2
+        assert sizes == [(even, even), (odd, odd)]
 
     def test_trace_one(self):
         rho = uniform_commitment_state(4, 0.2)

@@ -1,0 +1,98 @@
+"""Time and peak RSS of the protocol-1 mixture: its build and both solves.
+
+    python3 tools/probe_mixture.py --ns 8,10,11,12 --theta 0.3
+
+Each case runs in a fresh Python process that imports ``qbsc`` from
+``--src``.  The process first times one ``uniform_commitment_state(n,
+theta)`` call, the library's whole path (build, validation and spectrum),
+with the growth of the process's peak RSS across it
+(``resource.getrusage``, so Unix only).  Then it times on their own:
+
+- ``build_s``: the dense 2^n x 2^n matrix (``protocol1._mixture_matrix``;
+  a checkout without it gets the ``np.kron`` power it used to build);
+- ``full_solve_s``: ``np.linalg.eigvalsh`` of that matrix;
+- ``block_solve_s``: ``linalg._involution_spectrum`` of it under the
+  qubit-reversal involution, with its coupling check (``null`` in a
+  checkout without it).
+
+Each n runs ``--repeats`` times, every time in a new process, and one JSON
+object per n gives the median of each figure.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+CHILD = r"""
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from qbsc import linalg, protocol1
+
+n, theta = int(sys.argv[2]), float(sys.argv[3])
+
+
+def peak_mb():
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
+def timed(fn):
+    start = time.perf_counter()
+    value = fn()
+    return time.perf_counter() - start, value
+
+
+def kron_power():
+    e0 = protocol1.encode_bit(0, theta).amps.real
+    e1 = protocol1.encode_bit(1, theta).amps.real
+    single = (np.outer(e0, e0) + np.outer(e1, e1)) / 2.0
+    mixture = single
+    for _ in range(n - 1):
+        mixture = np.kron(mixture, single)
+    return mixture
+
+
+before = peak_mb()
+wall, _ = timed(lambda: protocol1.uniform_commitment_state(n, theta))
+after = peak_mb()
+build = getattr(protocol1, "_mixture_matrix", None)
+build_s, mat = timed(lambda: build(n, theta)) if build else timed(kron_power)
+full_s, _ = timed(lambda: np.linalg.eigvalsh(mat))
+block_s = None
+if hasattr(linalg, "_involution_spectrum"):
+    perm = protocol1._qubit_reversal(n)
+    block_s, _ = timed(lambda: linalg._involution_spectrum(mat, perm))
+print(json.dumps({"wall_s": wall, "growth_mb": after - before, "peak_rss_mb": after,
+                  "build_s": build_s, "full_solve_s": full_s, "block_solve_s": block_s}))
+"""
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src")
+    parser.add_argument("--ns", default="8,10,11,12")
+    parser.add_argument("--theta", type=float, default=0.3)
+    parser.add_argument("--repeats", type=int, default=3)
+    args = parser.parse_args()
+    for n in args.ns.split(","):
+        runs = []
+        for _ in range(args.repeats):
+            done = subprocess.run([sys.executable, "-c", CHILD, args.src, n, str(args.theta)],
+                                  capture_output=True, text=True, timeout=600)
+            if done.returncode != 0:
+                print(done.stderr, file=sys.stderr)
+                return 1
+            runs.append(json.loads(done.stdout))
+        medians = {"n": int(n), "theta": args.theta, "repeats": args.repeats}
+        for key, value in runs[0].items():
+            values = [run[key] for run in runs]
+            medians[key] = None if value is None else round(statistics.median(values), 6)
+        print(json.dumps(medians))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
