@@ -6,9 +6,7 @@ against exact brute-force oracles at desk scale."""
 from .adversary import (
     CheatStrategy,
     brute_force_guess_all,
-    custom_state_strategy,
     guess_all_oracle,
-    optimal_cheat_state,
     run_cheat_session,
     top_eigenvector_strategy,
 )

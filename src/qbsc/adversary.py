@@ -49,29 +49,20 @@ class CheatStrategy:
             raise InputError("strategy state must be a Ket or DensityMatrix")
 
 
-def optimal_cheat_state(op: HermitianOp) -> tuple[Ket, float]:
-    """Top eigenvector and eigenvalue of a reveal operator.
-
-    The eigenvector is rotated so its first non-negligible entry is positive
-    real, which makes repeated runs byte-for-byte reproducible.
-    """
-    eigenvalues, eigenvectors = _eigh(op.mat)
-    return Ket(_fix_phase(eigenvectors[:, -1])), float(eigenvalues[-1])
-
-
 def top_eigenvector_strategy(
     op: HermitianOp, bound: float | None = None
 ) -> CheatStrategy:
-    state, achieved = optimal_cheat_state(op)
+    """Send the top eigenvector of a reveal operator, phase-fixed so that
+    repeated runs are byte-for-byte reproducible; it achieves the top
+    eigenvalue, which must not exceed ``bound`` when one is given."""
+    eigenvalues, eigenvectors = _eigh(op.mat)
+    state = Ket(_fix_phase(eigenvectors[:, -1]))
+    achieved = float(eigenvalues[-1])
     if bound is not None and achieved > bound + _BOUND_TOL:
         raise NumericalError(
             f"achieved value {achieved!r} exceeds the analytic cap {bound!r}"
         )
     return CheatStrategy(kind="top-eigenvector", state=state, achieved=achieved)
-
-
-def custom_state_strategy(state) -> CheatStrategy:
-    return CheatStrategy(kind="custom-state", state=state)
 
 
 def _helstrom_qubit_conditionals(theta: float) -> tuple[float, float]:

@@ -170,8 +170,8 @@ def _cmd_cheat(args) -> int:
                 bound=protocol1.binding_bound1(args.theta),
             )
         else:
-            strategy = adversary.custom_state_strategy(
-                protocol1.encode_bit(0, args.theta)
+            strategy = adversary.CheatStrategy(
+                kind="custom-state", state=protocol1.encode_bit(0, args.theta)
             )
         transcript = adversary.run_cheat_session(
             1, strategy, args.reveal, args.seed, params=params
@@ -187,7 +187,9 @@ def _cmd_cheat(args) -> int:
         if args.strategy == "top-eigenvector":
             strategy = adversary.top_eigenvector_strategy(q, bound=bound)
         else:
-            strategy = adversary.custom_state_strategy(cb.state(indices[0]))
+            strategy = adversary.CheatStrategy(
+                kind="custom-state", state=cb.state(indices[0])
+            )
         transcript = adversary.run_cheat_session(
             2, strategy, args.reveal, args.seed, codebook=cb
         )

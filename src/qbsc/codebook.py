@@ -147,7 +147,6 @@ class BinaryCode:
     """
 
     generator: np.ndarray
-    seed: int
 
     def __post_init__(self):
         gen = np.asarray(self.generator, dtype=np.uint8)
@@ -222,8 +221,14 @@ class BinaryCode:
         The expression falls on ``w <= m/2`` and rises on ``w >= m/2``, and
         so does its float rounding, so the smallest and the largest weight
         give the maximum over all of them, to the bit.  Enumerated once per
-        code.
+        code; ``k`` above ``MAX_EXHAUSTIVE_K`` is refused before any weight
+        is enumerated.
         """
+        if self.k > MAX_EXHAUSTIVE_K:
+            raise InputError(
+                f"k = {self.k} gives 2^{self.k} states, beyond the "
+                f"2^{MAX_EXHAUSTIVE_K} that can be certified exhaustively"
+            )
         weights = self.nonzero_codeword_weights()
         if weights.size == 0:
             return 0.0
@@ -245,7 +250,7 @@ def generate_code(k: int, m: int, seed: int) -> BinaryCode:
     for _ in range(1000):
         gen = rng.integers(0, 2, size=(k, m), dtype=np.uint8)
         try:
-            return BinaryCode(generator=gen, seed=int(seed))
+            return BinaryCode(generator=gen)
         except InputError:  # the one check a k x m 0/1 draw can fail: rank
             continue
     raise GenerationError(
@@ -259,7 +264,7 @@ class Codebook:
 
     ``seed`` is the root seed of the certification run and ``attempts`` the
     number of attempts it consumed; the accepted code was drawn with
-    ``derive_seed(seed, attempts - 1)``.
+    ``derive_seed(seed, attempts - 1)``, which also keys the cross-check.
     """
 
     code: BinaryCode
@@ -268,7 +273,7 @@ class Codebook:
     attempts: int
 
     def __post_init__(self):
-        _require_exhaustive(self.code.k)
+        self.code._epsilon  # the certificate refuses k beyond the limit
         if self.attempts < 1:
             raise InputError("attempts must be at least 1")
 
@@ -342,7 +347,7 @@ class Codebook:
                 f"codebook needs seed >= 0 and attempts >= 1, got {seed}, {attempts}"
             )
         gen = np.array([_hex_to_row(row, m) for row in rows], dtype=np.uint8)
-        code = BinaryCode(gen.reshape(k, m), seed=derive_seed(seed, attempts - 1))
+        code = BinaryCode(gen.reshape(k, m))
         epsilon = float(read("epsilon_certified", REAL))
         cb = cls(code=code, epsilon_certified=epsilon, seed=seed, attempts=attempts)
         recomputed = code._epsilon
@@ -373,20 +378,11 @@ def _amplitudes(words: np.ndarray) -> np.ndarray:
     return amplitudes.view(np.float64)
 
 
-def _require_exhaustive(k: int) -> None:
-    if k > MAX_EXHAUSTIVE_K:
-        raise InputError(
-            f"k = {k} gives 2^{k} states, beyond the 2^{MAX_EXHAUSTIVE_K} "
-            "that can be certified exhaustively"
-        )
-
-
-def fingerprint_states(code: BinaryCode) -> Codebook:
-    """Codebook of sign-pattern states for a code, certified at construction."""
-    _require_exhaustive(code.k)
-    epsilon = code._epsilon
-    cb = Codebook(code=code, epsilon_certified=epsilon, seed=code.seed, attempts=1)
-    _crosscheck_pairs(cb, epsilon)
+def fingerprint_states(code: BinaryCode, seed: int) -> Codebook:
+    """Codebook of sign-pattern states for a code, certified at construction;
+    ``seed`` is recorded as the root of a one-attempt run."""
+    cb = Codebook(code=code, epsilon_certified=code._epsilon, seed=seed, attempts=1)
+    _crosscheck_pairs(cb)
     return cb
 
 
@@ -398,22 +394,22 @@ def verify_epsilon(cb: Codebook) -> float:
     least 100 randomly chosen pairs against directly computed inner
     products.
     """
-    _require_exhaustive(cb.code.k)
     epsilon = cb.code._epsilon
-    _crosscheck_pairs(cb, epsilon)
+    _crosscheck_pairs(cb)
     return epsilon
 
 
-def _crosscheck_pairs(cb: Codebook, epsilon: float) -> None:
+def _crosscheck_pairs(cb: Codebook) -> None:
     """Check seeded random pairs' direct inner products against the overlap
-    identity and against the enumerated ``epsilon``.
+    identity and against the code's enumerated overlap.
 
-    The pairs are drawn in one call and both sides' codewords come from one
-    batched call each.
+    The pairs are drawn in one call, keyed by the seed of the accepted
+    attempt, and both sides' codewords come from one batched call each.
     """
     if cb.size < 2:
         return
-    rng = make_rng(cb.code.seed, _TAG_CROSSCHECK)
+    epsilon = cb.code._epsilon
+    rng = make_rng(derive_seed(cb.seed, cb.attempts - 1), _TAG_CROSSCHECK)
     draws = rng.integers(0, np.tile([cb.size, cb.size - 1], _CROSSCHECK_PAIRS))
     firsts, seconds = draws[0::2], draws[1::2]
     seconds += seconds >= firsts
@@ -451,7 +447,6 @@ def generate_certified_codebook(
     """
     if not 0.0 <= epsilon_target <= 1.0:
         raise InputError(f"epsilon_target {epsilon_target!r} outside [0, 1]")
-    _require_exhaustive(k)
     best = math.inf
     for attempt in range(DEFAULT_ATTEMPT_CAP):
         code = generate_code(k, n, derive_seed(seed, attempt))
@@ -463,7 +458,7 @@ def generate_certified_codebook(
                 seed=int(seed),
                 attempts=attempt + 1,
             )
-            _crosscheck_pairs(cb, epsilon)
+            _crosscheck_pairs(cb)
             return cb
         best = min(best, epsilon)
     raise CertificationError(

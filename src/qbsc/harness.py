@@ -422,10 +422,14 @@ def bound_sweep(
     thetas = list(thetas)
     ns = list(ns)
     rs = list(rs)
+    equality_configs = list(equality_configs)
     if not thetas or not ns or not rs:
         raise InputError("sweep grids must be non-empty")
     if min(ns) < 1 or min(rs) < 1:
         raise InputError("sweep needs every n >= 1 and every r >= 1")
+    for _, epsilon in equality_configs:
+        if not math.isfinite(epsilon):
+            raise InputError(f"equality epsilon must be finite, got {epsilon!r}")
     if codebook is not None and cheat_samples < 1:
         raise InputError(f"cheat_samples must be >= 1, got {cheat_samples}")
     rows = []

@@ -56,15 +56,6 @@ class Ket:
     def dim(self) -> int:
         return self.amps.size
 
-    @classmethod
-    def normalize(cls, raw) -> "Ket":
-        """Build a Ket from an arbitrary nonzero vector by rescaling."""
-        arr = np.asarray(raw, dtype=complex)
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise InputError("cannot normalize the zero vector")
-        return cls(arr / norm)
-
 
 def _max_asymmetry(arr: np.ndarray) -> float:
     """``max |arr - arr^H|`` over all entries of a square matrix.

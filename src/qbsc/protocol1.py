@@ -113,15 +113,13 @@ def commit(bits: str, params: SecurityParams) -> Commitment1:
 def projection_probability(template: Ket, state) -> float:
     """Outcome-1 probability of measuring the normalized projector onto
     ``template`` on ``state`` (a Ket or a DensityMatrix)."""
+    if state.dim != template.dim:
+        raise InputError("state and template dimensions differ")
     t = template.amps
     t_norm = float(np.vdot(t, t).real)
     if isinstance(state, DensityMatrix):
-        if state.dim != template.dim:
-            raise InputError("state and template dimensions differ")
         value = float(np.vdot(t, state.mat @ t).real) / t_norm
     else:
-        if state.dim != template.dim:
-            raise InputError("state and template dimensions differ")
         s = state.amps
         overlap = np.vdot(t, s)
         value = (overlap.real**2 + overlap.imag**2) / (

@@ -70,17 +70,13 @@ class CheatSet:
         return len(self.indices)
 
 
-def _check_indices(cb: Codebook, s: CheatSet) -> None:
-    for i in s.indices:
-        if not 0 <= i < cb.size:
-            raise InputError(f"index {i} outside codebook of size {cb.size}")
-
-
 def cheat_set_for(cb: Codebook, indices) -> CheatSet:
     """Validated cheat set for a codebook, including the overlap assumption
     (r - 1) * epsilon < 1."""
     s = CheatSet(tuple(indices))
-    _check_indices(cb, s)
+    for i in s.indices:
+        if not 0 <= i < cb.size:
+            raise InputError(f"index {i} outside codebook of size {cb.size}")
     if (s.r - 1) * cb.epsilon_certified >= 1.0:
         raise InputError(
             f"(r-1)*epsilon = {(s.r - 1) * cb.epsilon_certified!r} >= 1 for "
@@ -124,7 +120,6 @@ def verify_unveil2(
 
 def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
     """Sum of the projectors onto the cheat set's code states."""
-    _check_indices(cb, s)
     rows = np.stack([cb.state(i).amps for i in s.indices])
     return HermitianOp(rows.T @ rows.conj())
 
@@ -135,7 +130,6 @@ def cheat_set_gram(cb: Codebook, s: CheatSet) -> np.ndarray:
     ``d_ij`` is the Hamming distance between the codewords; the matrix has
     the nonzero spectrum of :func:`q_operator`.
     """
-    _check_indices(cb, s)
     words = cb.code.codewords(s.indices).astype(np.int64)
     distances = words @ (1 - words).T + (1 - words) @ words.T
     return 1.0 - 2.0 * distances / cb.code.m

@@ -6,7 +6,7 @@ what the library computes in closed form or from smaller objects; the
 tests compare the two.  The recursive ``isinstance`` JSON writer is the
 slow path that the type-dispatch canonical JSON writer replaced.  The full
 phase-fixed eigendecomposition is what the single top-eigenvector path of
-``optimal_cheat_state`` must agree with.  Per-column Gaussian elimination is
+``top_eigenvector_strategy`` must agree with.  Per-column Gaussian elimination is
 the slow rank that the packed-row XOR basis replaced, and the overlap
 expression over every codeword weight is the slow form of the certificate
 that reads only the two extreme weights.  One ``eigvalsh`` of the whole
@@ -76,7 +76,7 @@ def eig_hermitian(h: HermitianOp) -> tuple[np.ndarray, tuple[Ket, ...]]:
 def random_ket(dim: int, rng: np.random.Generator) -> Ket:
     """Haar-distributed random state."""
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket.normalize(raw)
+    return Ket(raw / np.linalg.norm(raw))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

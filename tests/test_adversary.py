@@ -10,12 +10,10 @@ from qbsc import (
     SecurityParams,
     binding_bound1,
     brute_force_guess_all,
-    custom_state_strategy,
     encode_bit,
     equality_configuration,
     generate_certified_codebook,
     guess_all_oracle,
-    optimal_cheat_state,
     projector,
     reveal_operator,
     run_cheat_session,
@@ -36,13 +34,15 @@ class TestOptimalCheatState:
     def test_single_projector(self):
         rng = np.random.default_rng(1)
         v = random_ket(4, rng)
-        state, lam = optimal_cheat_state(projector(v))
+        strategy = top_eigenvector_strategy(projector(v))
+        state, lam = strategy.state, strategy.achieved
         assert lam == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(state.amps, v.amps)) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_encoding_projectors(self):
         theta = 0.2
-        state, lam = optimal_cheat_state(reveal_operator(theta))
+        strategy = top_eigenvector_strategy(reveal_operator(theta))
+        state, lam = strategy.state, strategy.achieved
         assert lam == pytest.approx(1.0 + math.sin(theta), abs=1e-12)
         bisector = encode_bit(0, theta).amps + encode_bit(1, theta).amps
         bisector = bisector / np.linalg.norm(bisector)
@@ -52,7 +52,8 @@ class TestOptimalCheatState:
         kets = equality_configuration(3, 0.1)
         rows = np.stack([k.amps for k in kets])
         q = HermitianOp(rows.T @ rows.conj())
-        state, lam = optimal_cheat_state(q)
+        strategy = top_eigenvector_strategy(q)
+        state, lam = strategy.state, strategy.achieved
         assert lam == pytest.approx(1.2, abs=1e-9)
         total = rows.sum(axis=0)
         total = total / np.linalg.norm(total)
@@ -66,7 +67,8 @@ class TestOptimalCheatState:
             if complex_entries:
                 g = g + 1j * rng.standard_normal((dim, dim))
             op = HermitianOp((g + g.conj().T) / 2)
-            state, lam = optimal_cheat_state(op)
+            strategy = top_eigenvector_strategy(op)
+            state, lam = strategy.state, strategy.achieved
             eigenvalues, eigenvectors = eig_hermitian(op)
             assert state.amps.tobytes() == eigenvectors[-1].amps.tobytes()
             assert lam == float(eigenvalues[-1])
@@ -159,7 +161,7 @@ class TestGuessAll:
 class TestCheatSessions:
     def test_honest_state_accepts(self):
         params = SecurityParams(theta=0.2, n=4)
-        strategy = custom_state_strategy(encode_bit(0, 0.2))
+        strategy = CheatStrategy(kind="custom-state", state=encode_bit(0, 0.2))
         t = run_cheat_session(1, strategy, "0000", seed=5, params=params)
         assert t.verify["accept_probability"] == 1.0
         assert t.verify["verdict"] is True
@@ -222,6 +224,6 @@ class TestCheatSessions:
 
     def test_dimension_checked(self, pinned_codebook):
         params = SecurityParams(theta=0.2, n=2)
-        strategy = custom_state_strategy(pinned_codebook.state(0))
+        strategy = CheatStrategy(kind="custom-state", state=pinned_codebook.state(0))
         with pytest.raises(InputError):
             run_cheat_session(1, strategy, "00", seed=1, params=params)

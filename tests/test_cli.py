@@ -460,6 +460,22 @@ class TestBoundsCommand:
         assert "cheat_samples" in capsys.readouterr().err
         assert not list(tmp_path.glob("report*"))
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0.1,-inf", "0.1,nan"])
+    def test_non_finite_equality_epsilon_rejected_before_any_row(
+        self, tmp_path, monkeypatch, capsys, epsilon
+    ):
+        from qbsc import harness
+
+        def never(*args):
+            raise AssertionError("row computed before the flags were checked")
+
+        monkeypatch.setattr(harness, "_protocol1_row", never)
+        out = tmp_path / "report"
+        assert run("bounds", "--theta", "0.2", "--n", "4", "--r", "2",
+                   "--epsilon", epsilon, "--out", out) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*"))
+
     @pytest.mark.parametrize("n, r", [("2", "0"), ("2", "2,-1"), ("0,2", "1")])
     def test_n_or_r_below_one_rejected(self, tmp_path, n, r):
         out = tmp_path / "report"

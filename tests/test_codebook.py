@@ -26,7 +26,7 @@ from qbsc import (
     rank_gf2,
     verify_epsilon,
 )
-from qbsc import Transcript, adversary, harness, linalg, protocol1, protocol2
+from qbsc import Transcript, harness, linalg, protocol1, protocol2
 from qbsc import codebook as codebook_module
 from qbsc.codebook import (
     _column_values,
@@ -169,7 +169,7 @@ class TestWeightEnumeration:
     @STRUCTURED_GENERATORS
     def test_structured_generators_match_explicit_enumeration(self, k, columns):
         generator = columns_generator(k, columns)
-        code = BinaryCode(generator=generator, seed=0)
+        code = BinaryCode(generator=generator)
         weights = code.nonzero_codeword_weights()
         assert weights.dtype == np.int64 and weights.shape == (2**k - 1,)
         assert weights.tolist() == enumerate_weights(generator)
@@ -192,11 +192,11 @@ class TestWeightEnumeration:
         assert np.array_equal(code.nonzero_codeword_weights(), dense_weights(code))
 
     def test_pinned_generator(self):
-        code = BinaryCode(generator=PINNED_4x16, seed=0)
+        code = BinaryCode(generator=PINNED_4x16)
         assert code.nonzero_codeword_weights().tolist() == enumerate_weights(PINNED_4x16)
 
     def test_k0_has_no_nonzero_codewords(self):
-        code = BinaryCode(generator=np.zeros((0, 5), dtype=np.uint8), seed=0)
+        code = BinaryCode(generator=np.zeros((0, 5), dtype=np.uint8))
         weights = code.nonzero_codeword_weights()
         assert weights.dtype == np.int64 and weights.size == 0
 
@@ -207,7 +207,7 @@ class TestEpsilonFromExtremes:
 
     @STRUCTURED_GENERATORS
     def test_structured_generators(self, k, columns):
-        code = BinaryCode(generator=columns_generator(k, columns), seed=0)
+        code = BinaryCode(generator=columns_generator(k, columns))
         assert code._epsilon == all_weights_epsilon(code)
 
     @pytest.mark.parametrize("draw", range(64))
@@ -226,12 +226,12 @@ class TestEpsilonFromExtremes:
 
 class TestFingerprintStates:
     def test_identical_codeword_overlap_is_one(self):
-        cb = fingerprint_states(BinaryCode(generator=PINNED_4x16, seed=0))
+        cb = fingerprint_states(BinaryCode(generator=PINNED_4x16), 0)
         v = cb.state(5)
         assert np.vdot(v.amps, v.amps).real == pytest.approx(1.0, abs=1e-12)
 
     def test_half_distance_overlap_is_zero(self):
-        cb = fingerprint_states(BinaryCode(generator=ORTHOGONAL_2x4, seed=0))
+        cb = fingerprint_states(BinaryCode(generator=ORTHOGONAL_2x4), 0)
         for i in range(cb.size):
             for j in range(cb.size):
                 if i != j:
@@ -239,8 +239,8 @@ class TestFingerprintStates:
                     assert overlap == pytest.approx(0.0, abs=1e-15)
 
     def test_distance_six_overlap(self):
-        code = BinaryCode(generator=PINNED_4x16, seed=0)
-        cb = fingerprint_states(code)
+        code = BinaryCode(generator=PINNED_4x16)
+        cb = fingerprint_states(code, 0)
         weights = enumerate_weights(PINNED_4x16)
         message = weights.index(6) + 1  # codeword at distance 6 from zero
         direct = np.vdot(cb.state(0).amps, cb.state(message).amps).real
@@ -248,8 +248,8 @@ class TestFingerprintStates:
         assert direct == pytest.approx(0.25, abs=1e-15)
 
     def test_overlap_identity_all_pairs(self):
-        code = BinaryCode(generator=PINNED_4x16, seed=0)
-        cb = fingerprint_states(code)
+        code = BinaryCode(generator=PINNED_4x16)
+        cb = fingerprint_states(code, 0)
         for i in range(cb.size):
             for j in range(cb.size):
                 d = int(np.sum(code.codeword(i) != code.codeword(j)))
@@ -265,7 +265,7 @@ class TestFingerprintStates:
     def test_overlap_identity_random_codes(self, k, seed, data):
         m = data.draw(st.integers(k, 24))
         code = generate_code(k, m, seed)
-        cb = fingerprint_states(code)
+        cb = fingerprint_states(code, seed)
         i = data.draw(st.integers(0, cb.size - 1))
         j = data.draw(st.integers(0, cb.size - 1))
         d = int(np.sum(code.codeword(i) != code.codeword(j)))
@@ -278,16 +278,16 @@ class TestVerifyEpsilon:
         weights = enumerate_weights(PINNED_4x16)
         assert min(weights) == 6 and max(weights) == 10
         expected = max(abs(1.0 - 2.0 * w / 16) for w in weights)
-        cb = fingerprint_states(BinaryCode(generator=PINNED_4x16, seed=0))
+        cb = fingerprint_states(BinaryCode(generator=PINNED_4x16), 0)
         assert verify_epsilon(cb) == expected == 0.25
 
     def test_orthogonal_family(self):
-        cb = fingerprint_states(BinaryCode(generator=ORTHOGONAL_2x4, seed=0))
+        cb = fingerprint_states(BinaryCode(generator=ORTHOGONAL_2x4), 0)
         assert verify_epsilon(cb) == 0.0
 
     def test_single_state_convention(self):
-        code = BinaryCode(generator=np.zeros((0, 4), dtype=np.uint8), seed=0)
-        cb = fingerprint_states(code)
+        code = BinaryCode(generator=np.zeros((0, 4), dtype=np.uint8))
+        cb = fingerprint_states(code, 0)
         assert cb.size == 1
         assert verify_epsilon(cb) == 0.0
 
@@ -325,7 +325,7 @@ class TestGenerateCertified:
         def never(*args):
             raise AssertionError("code drawn for an unsupported k")
 
-        monkeypatch.setattr(codebook_module, "generate_code", never)
+        monkeypatch.setattr(codebook_module, "make_rng", never)
         for k in (17, 20):
             with pytest.raises(InputError):
                 generate_certified_codebook(64, 1.0, k, seed=0)
@@ -358,9 +358,40 @@ class TestGenerateCertified:
         assert a.to_json() == b.to_json()
 
 
+def _reads_exhaustive_limit(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "MAX_EXHAUSTIVE_K"
+    return (
+        isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Load)
+        and node.id == "MAX_EXHAUSTIVE_K"
+    )
+
+
 class TestExhaustiveLimit:
     """``MAX_EXHAUSTIVE_K`` refuses k = 17 at every entry point before any
     codeword weight is enumerated."""
+
+    def test_read_only_by_the_certificate_and_the_draw(self):
+        readers, reads = {}, 0
+        for path in sorted(Path(codebook_module.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            reads += sum(map(_reads_exhaustive_limit, ast.walk(tree)))
+            names = {fn: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for fn in cls.body:
+                        if fn in names:
+                            names[fn] = f"{cls.name}.{fn.name}"
+            for fn, name in names.items():
+                count = sum(map(_reads_exhaustive_limit, ast.walk(fn)))
+                if count:
+                    readers[(path.name, name)] = count
+        assert set(readers) == {
+            ("codebook.py", "BinaryCode._epsilon"),
+            ("codebook.py", "generate_code"),
+        }
+        assert sum(readers.values()) == reads  # none outside those two
 
     @pytest.fixture()
     def code17(self, monkeypatch):
@@ -370,7 +401,7 @@ class TestExhaustiveLimit:
         monkeypatch.setattr(BinaryCode, "nonzero_codeword_weights", never)
         k = codebook_module.MAX_EXHAUSTIVE_K + 1
         assert k == 17
-        return BinaryCode(generator=np.eye(k, k + 3, dtype=np.uint8), seed=0)
+        return BinaryCode(generator=np.eye(k, k + 3, dtype=np.uint8))
 
     def test_generate_code(self, code17):
         assert generate_code(16, 64, 0).k == 16
@@ -393,7 +424,7 @@ class TestExhaustiveLimit:
 
     def test_fingerprint_states(self, code17):
         with pytest.raises(InputError):
-            fingerprint_states(code17)
+            fingerprint_states(code17, 0)
 
     def test_verify_epsilon(self, code17):
         # a codebook-shaped object that bypassed Codebook's own check
@@ -407,8 +438,8 @@ class TestExhaustiveLimit:
 
 class TestCapacity:
     def test_sizes(self):
-        assert capacity(fingerprint_states(BinaryCode(ORTHOGONAL_2x4, seed=0))) == 2
-        assert capacity(fingerprint_states(BinaryCode(PINNED_4x16, seed=0))) == 4
+        assert capacity(fingerprint_states(BinaryCode(ORTHOGONAL_2x4), 0)) == 2
+        assert capacity(fingerprint_states(BinaryCode(PINNED_4x16), 0)) == 4
         cb = generate_certified_codebook(32, 0.5, 6, seed=1)
         assert capacity(cb) == 6 == int(math.log2(cb.size))
 
@@ -488,7 +519,7 @@ class TestBatchedCodewords:
 
     @pytest.mark.parametrize("m", [1, 9, 77, 130, 203])
     def test_k0_code_has_only_the_zero_word(self, m):
-        code = BinaryCode(generator=np.zeros((0, m), dtype=np.uint8), seed=0)
+        code = BinaryCode(generator=np.zeros((0, m), dtype=np.uint8))
         assert np.array_equal(code.codewords([0, 0]), np.zeros((2, m), dtype=np.uint8))
         with pytest.raises(InputError):
             code.codeword(1)
@@ -553,12 +584,12 @@ class TestHexCodec:
 
 
 def old_crosscheck_pairs(cb):
-    """The pair draws of the per-pair loop the batched check replaced."""
+    """The pair draws of the per-pair loop the batched check replaced, keyed
+    by the seed of the accepted attempt."""
+    key = derive_seed(cb.seed, cb.attempts - 1)
     rng = np.random.Generator(
         np.random.Philox(
-            np.random.SeedSequence(
-                cb.code.seed, spawn_key=(codebook_module._TAG_CROSSCHECK,)
-            )
+            np.random.SeedSequence(key, spawn_key=(codebook_module._TAG_CROSSCHECK,))
         )
     )
     pairs = []
@@ -594,7 +625,7 @@ class TestCrosscheck:
     def test_draws_the_pairs_of_the_per_pair_loop(self, monkeypatch, n, eps, k, seed):
         cb = generate_certified_codebook(n, eps, k, seed)
         batches = record_codewords(monkeypatch)
-        _crosscheck_pairs(cb, cb.epsilon_certified)
+        _crosscheck_pairs(cb)
         pairs = old_crosscheck_pairs(cb)
         assert batches == [[i for i, _ in pairs], [j for _, j in pairs]]
 
@@ -604,9 +635,9 @@ class TestCrosscheck:
     ):
         batches = record_codewords(monkeypatch)
         for seed in (k, 1000 + k, 2**40 + k):
-            cb = fingerprint_states(generate_code(k, k + 9, seed))
+            cb = fingerprint_states(generate_code(k, k + 9, seed), seed)
             batches.clear()
-            _crosscheck_pairs(cb, cb.epsilon_certified)
+            _crosscheck_pairs(cb)
             pairs = old_crosscheck_pairs(cb)
             assert batches == [[i for i, _ in pairs], [j for _, j in pairs]]
 
@@ -625,7 +656,7 @@ class TestCrosscheck:
         record_codewords(monkeypatch, alias_pair)
         named = rf"pair \({i}, {j}\) overlap \S+ exceeds"
         with pytest.raises(NumericalError, match=named):
-            _crosscheck_pairs(cb, cb.epsilon_certified)
+            _crosscheck_pairs(cb)
 
     def test_broken_amplitude_violates_identity(self, monkeypatch):
         cb = generate_certified_codebook(32, 0.5, 6, seed=1)
@@ -643,7 +674,43 @@ class TestCrosscheck:
         monkeypatch.setattr(codebook_module, "_amplitudes", flip_first_sign_of_i_side)
         named = rf"identity violated for pair \({i}, {j}\)"
         with pytest.raises(NumericalError, match=named):
-            _crosscheck_pairs(cb, cb.epsilon_certified)
+            _crosscheck_pairs(cb)
+
+
+class TestAttemptSeed:
+    """The recorded seed and attempt count give the seed the code was drawn
+    with, and that seed keys the cross-check."""
+
+    CODEBOOKS = pytest.mark.parametrize(
+        "build, attempts",
+        [
+            (lambda: generate_certified_codebook(32, 0.5, 6, seed=1), 1),
+            (lambda: generate_certified_codebook(64, 0.25, 6, seed=3), 4),
+            (lambda: Codebook.from_json(
+                generate_certified_codebook(32, 0.5, 6, seed=1).to_json()), 1),
+            (lambda: Codebook.from_json(
+                generate_certified_codebook(64, 0.25, 6, seed=3).to_json()), 4),
+            (lambda: fingerprint_states(generate_code(7, 40, 12), 12), 1),
+        ],
+        ids=["first-attempt", "fourth-attempt", "first-attempt-loaded",
+             "fourth-attempt-loaded", "fingerprint"],
+    )
+
+    @CODEBOOKS
+    def test_attempt_seed_regenerates_the_generator(self, build, attempts):
+        cb = build()
+        assert cb.attempts == attempts
+        seed = derive_seed(cb.seed, cb.attempts - 1)
+        code = generate_code(cb.code.k, cb.code.m, seed)
+        assert np.array_equal(code.generator, cb.code.generator)
+
+    @CODEBOOKS
+    def test_attempt_seed_keys_the_crosscheck(self, monkeypatch, build, attempts):
+        cb = build()
+        batches = record_codewords(monkeypatch)
+        _crosscheck_pairs(cb)
+        pairs = old_crosscheck_pairs(cb)
+        assert batches == [[i for i, _ in pairs], [j for _, j in pairs]]
 
 
 def counting_method(monkeypatch, cls, name, calls):
@@ -753,7 +820,7 @@ class TestRankedOnce:
 
     def test_rank_deficient_generator_still_refused(self):
         with pytest.raises(InputError, match="full row rank"):
-            BinaryCode(generator=np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8), seed=0)
+            BinaryCode(generator=np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8))
 
 
 class TestColumnCounts:
@@ -771,7 +838,7 @@ class TestColumnCounts:
         generator = columns_generator(k, columns)
         histogram = np.bincount(_column_values(generator))
         assert np.array_equal(histogram[histogram > 0], unique_column_counts(generator))
-        code = BinaryCode(generator=generator, seed=0)
+        code = BinaryCode(generator=generator)
         entropy = protocol2.code_ensemble_entropy(SimpleNamespace(code=code, dim=code.m))
         assert entropy == self.unique_count_entropy(generator)
 
@@ -780,7 +847,7 @@ class TestColumnCounts:
         "k, m, seed", [(1, 7, 0), (4, 9, 2), (8, 300, 3), (10, 1024, 4), (16, 64, 5)]
     )
     def test_random_codes(self, k, m, seed):
-        cb = fingerprint_states(generate_code(k, m, seed))
+        cb = fingerprint_states(generate_code(k, m, seed), seed)
         assert protocol2.code_ensemble_entropy(cb) == self.unique_count_entropy(
             cb.code.generator
         )
@@ -868,7 +935,7 @@ class TestSettableSurface:
     @pytest.mark.parametrize(
         "cls, names",
         [
-            (BinaryCode, ["generator", "seed"]),
+            (BinaryCode, ["generator"]),
             (linalg.DensityMatrix, ["mat", "involution"]),
             (Codebook, ["code", "epsilon_certified", "seed", "attempts"]),
             (Transcript, ["protocol", "phase", "params", "seeds", "commit",
@@ -887,7 +954,6 @@ class TestSettableSurface:
             (protocol1.smallest_hiding_n, ["theta", "r"]),
             (protocol1.holevo_bound1, ["n", "theta"]),
             (generate_certified_codebook, ["n", "epsilon_target", "k", "seed"]),
-            (adversary.custom_state_strategy, ["state"]),
         ],
         ids=lambda value: getattr(value, "__name__", None),
     )

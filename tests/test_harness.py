@@ -117,7 +117,9 @@ def golden_output(name, cb):
         return bound_sweep((0.1, 0.3), (2, 6), (2,), ((3, 0.1),), **codebook_row)
 
     top = adversary.top_eigenvector_strategy
-    custom = adversary.custom_state_strategy
+    def custom(state):
+        return adversary.CheatStrategy(kind="custom-state", state=state)
+
     qubit_mixture = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]]))
     state3, state17 = cb.state(3).amps.real, cb.state(17).amps.real
     code_mixture = DensityMatrix((np.outer(state3, state3) + np.outer(state17, state17)) / 2)

@@ -48,15 +48,6 @@ class TestKet:
         with pytest.raises(InputError):
             Ket(np.array([]))
 
-    def test_normalize_path(self):
-        k = Ket.normalize(np.array([3.0, 4.0]))
-        assert k.amps[0] == pytest.approx(0.6)
-        assert k.dim == 2
-
-    def test_normalize_rejects_zero(self):
-        with pytest.raises(InputError):
-            Ket.normalize(np.zeros(3))
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InputError):

@@ -47,7 +47,7 @@ def wide_codebook():
 
 @pytest.fixture(scope="module")
 def orthogonal_codebook():
-    return fingerprint_states(BinaryCode(generator=ORTHOGONAL_2x4, seed=0))
+    return fingerprint_states(BinaryCode(generator=ORTHOGONAL_2x4), 0)
 
 
 class TestIndexing:
@@ -298,8 +298,8 @@ class TestHiding2:
         assert hiding_bound2(cb) == 4.0
 
     def test_single_state_entropy_zero(self):
-        code = BinaryCode(generator=np.zeros((0, 8), dtype=np.uint8), seed=0)
-        cb = fingerprint_states(code)
+        code = BinaryCode(generator=np.zeros((0, 8), dtype=np.uint8))
+        cb = fingerprint_states(code, 0)
         assert code_ensemble_entropy(cb) == pytest.approx(0.0, abs=1e-12)
         assert hiding_bound2(cb) == 3.0
 
@@ -311,10 +311,8 @@ class TestHiding2:
         assert capacity(pinned_codebook) == 6 > bound
 
     def test_strict_inequality_when_size_below_dim(self):
-        code = BinaryCode(
-            generator=np.array([[1, 1, 0, 0]], dtype=np.uint8), seed=0
-        )
-        cb = fingerprint_states(code)  # two orthogonal states in dim 4
+        code = BinaryCode(generator=np.array([[1, 1, 0, 0]], dtype=np.uint8))
+        cb = fingerprint_states(code, 0)  # two orthogonal states in dim 4
         assert code_ensemble_entropy(cb) == pytest.approx(1.0, abs=1e-12)
         assert hiding_bound2(cb) == 2.0
 
@@ -354,15 +352,22 @@ class TestSmallMatrixSpectra:
         with pytest.raises(InputError):
             cheat_set_gram(pinned_codebook, CheatSet(indices=(0, 64)))
 
+    @pytest.mark.parametrize("index", [64, -1])
+    @pytest.mark.parametrize("build", [cheat_set_gram, q_operator])
+    def test_builders_reject_out_of_range_index(self, pinned_codebook, build, index):
+        # a directly built CheatSet skips cheat_set_for's range check; the
+        # codewords of the code refuse the index
+        with pytest.raises(InputError):
+            build(pinned_codebook, CheatSet(indices=(0, index)))
+
     def test_closed_form_entropy_matches_dense_mixture(self, pinned_codebook):
         codebooks = [pinned_codebook]
         for k, m, seed in ((1, 3, 0), (3, 5, 1), (4, 9, 2), (5, 64, 3), (7, 96, 4)):
-            codebooks.append(fingerprint_states(generate_code(k, m, seed)))
+            codebooks.append(fingerprint_states(generate_code(k, m, seed), seed))
         # repeated and all-zero columns form classes larger than one
         codebooks.append(fingerprint_states(BinaryCode(
             generator=np.array([[1, 1, 0, 0, 1], [0, 0, 1, 0, 1]], dtype=np.uint8),
-            seed=0,
-        )))
+        ), 0))
         for cb in codebooks:
             assert abs(code_ensemble_entropy(cb) - dense_ensemble_entropy(cb)) <= 1e-10
 

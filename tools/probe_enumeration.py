@@ -6,7 +6,9 @@ Each k runs in a fresh Python process that imports ``qbsc`` from ``--src``,
 draws a full-rank k x m generator from ``make_rng(seed)``, builds its
 ``BinaryCode`` and then times one certificate, ``BinaryCode._epsilon``: the
 enumeration of all 2^k - 1 nonzero codeword weights and the maximum overlap
-read from them.  ``MAX_EXHAUSTIVE_K`` does not apply: no codebook is built.
+read from them.  The certificate refuses k above
+``codebook.MAX_EXHAUSTIVE_K``, so the child process lifts that limit to k
+first.
 Prints one JSON object per k with the seconds and the peak RSS of the
 process before and after the certificate (``resource.getrusage``, so Unix
 only).
@@ -25,7 +27,8 @@ from qbsc import codebook
 
 k, m, seed = (int(a) for a in sys.argv[2:5])
 gen = codebook.make_rng(seed).integers(0, 2, size=(k, m), dtype=np.uint8)
-code = codebook.BinaryCode(generator=gen, seed=seed)
+code = codebook.BinaryCode(generator=gen)
+codebook.MAX_EXHAUSTIVE_K = max(codebook.MAX_EXHAUSTIVE_K, k)
 
 
 def peak_mb():

@@ -8,12 +8,10 @@ theta)`` call, the library's whole path (build, validation and spectrum),
 with the growth of the process's peak RSS across it
 (``resource.getrusage``, so Unix only).  Then it times on their own:
 
-- ``build_s``: the dense 2^n x 2^n matrix (``protocol1._mixture_matrix``;
-  a checkout without it gets the ``np.kron`` power it used to build);
+- ``build_s``: the dense 2^n x 2^n matrix (``protocol1._mixture_matrix``);
 - ``full_solve_s``: ``np.linalg.eigvalsh`` of that matrix;
 - ``block_solve_s``: ``linalg._involution_spectrum`` of it under the
-  qubit-reversal involution, with its coupling check (``null`` in a
-  checkout without it).
+  qubit-reversal involution, with its coupling check.
 
 Each n runs ``--repeats`` times, every time in a new process, and one JSON
 object per n gives the median of each figure.
@@ -45,26 +43,13 @@ def timed(fn):
     return time.perf_counter() - start, value
 
 
-def kron_power():
-    e0 = protocol1.encode_bit(0, theta).amps.real
-    e1 = protocol1.encode_bit(1, theta).amps.real
-    single = (np.outer(e0, e0) + np.outer(e1, e1)) / 2.0
-    mixture = single
-    for _ in range(n - 1):
-        mixture = np.kron(mixture, single)
-    return mixture
-
-
 before = peak_mb()
 wall, _ = timed(lambda: protocol1.uniform_commitment_state(n, theta))
 after = peak_mb()
-build = getattr(protocol1, "_mixture_matrix", None)
-build_s, mat = timed(lambda: build(n, theta)) if build else timed(kron_power)
+build_s, mat = timed(lambda: protocol1._mixture_matrix(n, theta))
 full_s, _ = timed(lambda: np.linalg.eigvalsh(mat))
-block_s = None
-if hasattr(linalg, "_involution_spectrum"):
-    perm = protocol1._qubit_reversal(n)
-    block_s, _ = timed(lambda: linalg._involution_spectrum(mat, perm))
+perm = protocol1._qubit_reversal(n)
+block_s, _ = timed(lambda: linalg._involution_spectrum(mat, perm))
 print(json.dumps({"wall_s": wall, "growth_mb": after - before, "peak_rss_mb": after,
                   "build_s": build_s, "full_solve_s": full_s, "block_solve_s": block_s}))
 """
@@ -87,9 +72,8 @@ def main() -> int:
                 return 1
             runs.append(json.loads(done.stdout))
         medians = {"n": int(n), "theta": args.theta, "repeats": args.repeats}
-        for key, value in runs[0].items():
-            values = [run[key] for run in runs]
-            medians[key] = None if value is None else round(statistics.median(values), 6)
+        for key in runs[0]:
+            medians[key] = round(statistics.median(run[key] for run in runs), 6)
         print(json.dumps(medians))
     return 0
 
