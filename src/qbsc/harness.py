@@ -333,7 +333,7 @@ def _protocol1_row(
 
 
 def _equality_row(r: int, epsilon: float) -> dict:
-    if epsilon < 0.0 or (r - 1) * epsilon >= 1.0:
+    if not protocol2.equality_feasible(r, epsilon):
         return {
             "kind": "equality",
             "r": r,

@@ -23,9 +23,7 @@ from .errors import InputError, NumericalError
 NORM_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
 _STRIP = 128  # rows per strip of the Hermiticity check
-_PAIR_STRIP = 32  # swapped pairs per strip of the involution blocks
 _COUPLING_TOL = 1e-12
-_ROOT_HALF = math.sqrt(0.5)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -103,25 +101,27 @@ class DensityMatrix(HermitianOp):
     The spectrum is computed once during validation and cached, so entropy
     evaluations do not repeat the eigensolve.
 
-    ``involution`` optionally declares an index array ``p`` with
-    ``p[p] = range(dim)`` whose permutation commutes with the matrix; the
-    spectrum is then solved on the permutation's two eigenspaces, once the
-    block coupling them is checked to vanish (:func:`_involution_spectrum`).
+    ``labels`` optionally gives each basis index an integer label and
+    declares the matrix block diagonal over them; the spectrum is then
+    solved one label's block at a time, once the entries coupling two
+    labels are checked to vanish (:func:`_labelled_spectrum`).
     """
 
-    involution: np.ndarray | None = field(default=None, compare=False, repr=False)
+    labels: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
         trace = float(np.trace(self.mat).real)
         if abs(trace - 1.0) > NORM_TOL:
             raise InputError(f"density matrix trace is {trace!r}, expected 1")
-        if self.involution is None:
+        if self.labels is None:
             w = _eigvalsh(self.mat)
         else:
-            perm = _checked_involution(self.involution, self.dim)
-            object.__setattr__(self, "involution", perm)
-            w = _involution_spectrum(self.mat, perm)
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.dim,) or labels.dtype.kind not in "iu":
+                raise InputError(f"labels must be a 1-D array of {self.dim} integers")
+            object.__setattr__(self, "labels", _freeze(labels))
+            w = _labelled_spectrum(self.mat, labels)
         if w[0] < -NORM_TOL:
             raise InputError(
                 f"density matrix has negative eigenvalue {w[0]!r}"
@@ -134,64 +134,33 @@ class DensityMatrix(HermitianOp):
         return self._spectrum
 
 
-def _checked_involution(perm, dim: int) -> np.ndarray:
-    arr = np.asarray(perm)
-    if arr.shape != (dim,) or arr.dtype.kind not in "iu":
-        raise InputError(f"involution must be a 1-D array of {dim} integer indices")
-    if arr.min() < 0 or arr.max() >= dim or np.any(arr[arr] != np.arange(dim)):
-        raise InputError(f"involution is not an involutive permutation of range({dim})")
-    return _freeze(arr.astype(np.intp))
+def _labelled_spectrum(mat: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian ``M`` that is block diagonal
+    over the index labels ``labels``.
 
-
-def _involution_spectrum(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian ``M`` that commutes with the
-    permutation of the involution ``perm``.
-
-    The even eigenspace of the permutation is spanned by ``e_x`` for each
-    fixed ``x`` and by ``(e_a + e_b) / sqrt 2`` for each swapped pair
-    ``a < b = perm[a]``; the odd one by ``(e_a - e_b) / sqrt 2``.  The rows
-    of ``M`` are gathered a strip of pairs at a time, their sums and
-    differences give the rows of the even and odd blocks, and each block is
-    solved by itself.  The block coupling even rows to odd columns, summed
-    on the way, bounds how far the spectrum of the two blocks is from that
-    of ``M`` (Weyl); a Frobenius norm above 1e-12 raises
-    :class:`NumericalError`.
+    The rows of each label are gathered once; the columns of the same label
+    give its block, which is solved by itself, and the squares of every
+    other entry of those rows are summed.  That sum is the squared Frobenius
+    norm of all entries coupling two labels, which bounds how far the
+    spectrum of the blocks is from that of ``M`` (Weyl); a norm above 1e-12
+    raises :class:`NumericalError`.
     """
-    index = np.arange(perm.size)
-    fixed = np.flatnonzero(perm == index)
-    a = np.flatnonzero(perm > index)
-    b = perm[a]
-    nf = fixed.size
-    even = np.empty((nf + a.size,) * 2, dtype=mat.dtype)
-    odd = np.empty((a.size,) * 2, dtype=mat.dtype)
-
-    def pair_columns(rows):
-        # sums and differences of the two columns of each swapped pair
-        ca, cb = rows.take(a, axis=1), rows.take(b, axis=1)
-        return ca + cb, ca - cb
-
-    rows = mat.take(fixed, axis=0)
-    even[:nf, :nf] = rows.take(fixed, axis=1)
-    sums, diffs = pair_columns(rows)
-    even[:nf, nf:] = sums * _ROOT_HALF
-    coupling_sq = float(np.vdot(diffs, diffs).real) / 2.0
-    for i in range(0, a.size, _PAIR_STRIP):
-        top = mat.take(a[i : i + _PAIR_STRIP], axis=0)
-        bottom = mat.take(b[i : i + _PAIR_STRIP], axis=0)
-        plus, minus = top + bottom, top - bottom
-        block_rows = slice(nf + i, nf + i + plus.shape[0])
-        even[block_rows, :nf] = plus.take(fixed, axis=1) * _ROOT_HALF
-        sums, diffs = pair_columns(plus)
-        even[block_rows, nf:] = sums * 0.5
-        coupling_sq += float(np.vdot(diffs, diffs).real) / 4.0
-        odd[i : i + _PAIR_STRIP] = pair_columns(minus)[1] * 0.5
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    spectra = []
+    coupling_sq = 0.0
+    for index in np.split(order, starts):
+        rows = mat.take(index, axis=0)
+        spectra.append(_eigvalsh(rows.take(index, axis=1)))
+        rows[:, index] = 0.0
+        coupling_sq += float(np.vdot(rows, rows).real)
     coupling = math.sqrt(coupling_sq)
     if not coupling <= _COUPLING_TOL:
         raise NumericalError(
-            f"matrix does not commute with the involution: coupling block "
+            f"matrix is not block diagonal over its labels: coupling "
             f"norm {coupling!r} exceeds {_COUPLING_TOL}"
         )
-    return np.sort(np.concatenate([_eigvalsh(even), _eigvalsh(odd)]))
+    return np.sort(np.concatenate(spectra))
 
 
 def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:

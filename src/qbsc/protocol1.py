@@ -32,6 +32,16 @@ _IDENTITY_TOL = 1e-12
 _SPECTRAL_TOL = 1e-9
 BRUTE_FORCE_MAX_N = 12
 _HIDING_SCAN_MAX_N = 10**7  # smallest_hiding_n gives up beyond this n
+_ROOT_HALF = math.sqrt(0.5)
+# rows: |00>, (|01> + |10>)/sqrt 2, |11>, (|01> - |10>)/sqrt 2
+_PAIR_BASIS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, _ROOT_HALF, _ROOT_HALF, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, _ROOT_HALF, -_ROOT_HALF, 0.0],
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -197,46 +207,55 @@ def uniform_commitment_state(n: int, theta: float) -> DensityMatrix:
 
     The uniform mixture over all bit strings is the n-fold Kronecker power
     of the real single-qubit mixture rho_1 = (|e0><e0| + |e1><e1|) / 2 of
-    the two encodings, built as a dense real 2^n x 2^n matrix.  All n
-    factors are the same, so the matrix commutes with the permutation that
-    reverses the order of the qubits, and its spectrum is solved on the two
-    blocks of that involution.  The validation checks that the block
-    coupling them vanishes rather than trusting the symmetry, so the dense
-    spectrum stays an independent check on the closed-form entropy.
+    the two encodings.  It is built as a dense real 2^n x 2^n matrix in the
+    pair basis: the qubits are grouped as adjacent pairs (2i, 2i + 1), each
+    pair is rotated onto |00>, (|01> + |10>)/sqrt 2, |11>, (|01> - |10>)/sqrt 2,
+    and a last unpaired qubit keeps the computational basis.  The rotation
+    is orthogonal, so the spectrum is unchanged.  Both factors of a pair are
+    the same, so each pair's swap commutes with the mixture, and in the
+    pair basis the matrix is block diagonal over which pairs are in their
+    antisymmetric state: with p = n // 2 pairs, s of them antisymmetric,
+    a block has 3^(p - s) * 2^(n % 2) indices.  The spectrum is solved on
+    those blocks.  The validation checks that the entries coupling them
+    vanish rather than trusting the symmetry, so the dense spectrum stays an
+    independent check on the closed-form entropy.
     """
     if not 1 <= n <= BRUTE_FORCE_MAX_N:
         raise InputError(f"n = {n} outside [1, {BRUTE_FORCE_MAX_N}]")
-    return DensityMatrix(_mixture_matrix(n, theta), involution=_qubit_reversal(n))
+    mat, labels = _pair_basis_mixture(n, theta)
+    return DensityMatrix(mat, labels=labels)
 
 
-def _mixture_matrix(n: int, theta: float) -> np.ndarray:
-    """The n-fold Kronecker power of rho_1 as a dense real array.
-
-    Each step writes the products of ``np.kron(mixture, rho_1)`` straight
-    into a preallocated array, one strided quarter per entry of rho_1, so
-    the result is the same to the bit without ``np.kron``'s reshape copy.
-    """
+def _pair_basis_mixture(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dense mixture in the pair basis and the label of each index: the
+    bitmask of the pairs whose digit is 3, the antisymmetric state."""
     e0 = encode_bit(0, theta).amps.real
     e1 = encode_bit(1, theta).amps.real
     single = (np.outer(e0, e0) + np.outer(e1, e1)) / 2.0
-    mixture = single
-    for _ in range(n - 1):
-        half = mixture.shape[0]
-        grown = np.empty((2 * half, 2 * half))
-        quarters = grown.reshape(half, 2, half, 2)
-        for (i, j), value in np.ndenumerate(single):
-            np.multiply(mixture, value, out=quarters[:, i, :, j])
-        mixture = grown
-    return mixture
+    pair = _PAIR_BASIS @ np.kron(single, single) @ _PAIR_BASIS.T
+    labels = np.zeros(1, dtype=np.intp)
+    for _ in range(n // 2):
+        labels = (2 * labels[:, None] + (np.arange(4) == 3)).ravel()
+    factors = [pair] * (n // 2) + [single] * (n % 2)
+    return _kron_product(factors), np.repeat(labels, 2 ** (n % 2))
 
 
-def _qubit_reversal(n: int) -> np.ndarray:
-    """Index of each n-bit basis string with its bits in reverse order."""
-    index = np.arange(2**n)
-    reversed_index = np.zeros_like(index)
-    for bit in range(n):
-        reversed_index |= ((index >> bit) & 1) << (n - 1 - bit)
-    return reversed_index
+def _kron_product(factors: list[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of real square factors as a dense array.
+
+    Each step writes the products of ``np.kron(product, factor)`` straight
+    into a preallocated array, one strided block per entry of the factor,
+    so the result is the same to the bit without ``np.kron``'s reshape copy.
+    """
+    product = factors[0]
+    for factor in factors[1:]:
+        size, d = product.shape[0], factor.shape[0]
+        grown = np.empty((size * d, size * d))
+        blocks = grown.reshape(size, d, size, d)
+        for (i, j), value in np.ndenumerate(factor):
+            np.multiply(product, value, out=blocks[:, i, :, j])
+        product = grown
+    return product
 
 
 def holevo_bound1(n: int, theta: float) -> float:

@@ -149,6 +149,12 @@ def binding_bound2(r: int, epsilon: float) -> float:
     return 1.0 + (r - 1) * epsilon
 
 
+def equality_feasible(r: int, epsilon: float) -> bool:
+    """Whether :func:`equality_configuration` exists with the cap claimed:
+    an overlap of unit states lies in [0, 1], and (r - 1) * epsilon < 1."""
+    return 0.0 <= epsilon <= 1.0 and (r - 1) * epsilon < 1.0
+
+
 def equality_configuration(r: int, epsilon: float) -> tuple[Ket, ...]:
     """r unit vectors in dim r with every pairwise overlap exactly epsilon.
 
@@ -157,9 +163,9 @@ def equality_configuration(r: int, epsilon: float) -> tuple[Ket, ...]:
     """
     if r < 1:
         raise InputError("r must be positive")
-    if epsilon < 0.0 or (r - 1) * epsilon >= 1.0:
+    if not equality_feasible(r, epsilon):
         raise InputError(
-            f"epsilon {epsilon!r} infeasible for r={r}: need 0 <= eps and "
+            f"epsilon {epsilon!r} infeasible for r={r}: need 0 <= eps <= 1 and "
             "(r-1)*eps < 1"
         )
     gram = (1.0 - epsilon) * np.eye(r) + epsilon * np.ones((r, r))

@@ -9,8 +9,9 @@ phase-fixed eigendecomposition is what the single top-eigenvector path of
 ``top_eigenvector_strategy`` must agree with.  Per-column Gaussian elimination is
 the slow rank that the packed-row XOR basis replaced, and the overlap
 expression over every codeword weight is the slow form of the certificate
-that reads only the two extreme weights.  One ``eigvalsh`` of the whole
-matrix is the spectrum that the two blocks of a declared involution
+that reads only the two extreme weights.  The protocol-1 mixture as the
+``np.kron`` power of the single-qubit mixture in the computational basis,
+solved by one ``eigvalsh``, is what its pair-basis build and block solve
 replaced, and ``np.unique`` over the generator's columns the count of equal
 columns that a histogram of their integer values replaced.
 """
@@ -24,6 +25,7 @@ import numpy as np
 
 from qbsc.errors import InputError, NumericalError
 from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh, projector
+from qbsc.protocol1 import encode_bit
 from qbsc.transcript import format_float
 
 MAX_TENSOR_DIM = 2**22
@@ -233,11 +235,16 @@ def all_weights_epsilon(code) -> float:
     return float(np.abs(1.0 - 2.0 * weights / code.m).max())
 
 
-def full_spectrum(mat: np.ndarray, involution: np.ndarray | None = None) -> np.ndarray:
-    """Ascending eigenvalues from one solve of the whole matrix; the
-    involution is accepted and ignored, so this can stand in for the
-    library's block solve."""
-    return np.linalg.eigvalsh(mat)
+def computational_mixture(n: int, theta: float) -> DensityMatrix:
+    """The uniform protocol-1 mixture over n qubits as the ``np.kron`` power
+    of rho_1 in the computational basis, solved by one ``eigvalsh``; a
+    stand-in for ``protocol1.uniform_commitment_state``."""
+    e0, e1 = encode_bit(0, theta).amps.real, encode_bit(1, theta).amps.real
+    single = (np.outer(e0, e0) + np.outer(e1, e1)) / 2.0
+    power = single
+    for _ in range(n - 1):
+        power = np.kron(power, single)
+    return DensityMatrix(power)
 
 
 def unique_column_counts(generator: np.ndarray) -> np.ndarray:

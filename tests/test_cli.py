@@ -426,6 +426,14 @@ class TestBoundsCommand:
         assert flags[(10, 0.3)] is True  # (r-1)*eps = 2.7
         assert flags[(2, 0.1)] is False
 
+    def test_overlap_outside_unit_interval_infeasible_at_r_one(self, tmp_path):
+        out = tmp_path / "report"
+        assert run("bounds", "--theta", "0.2", "--n", "2", "--r", "1",
+                   "--epsilon", "5,-0.5", "--out", out) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        rows = [r for r in report["rows"] if r["kind"] == "equality"]
+        assert [(r["epsilon"], r["infeasible"]) for r in rows] == [(5, True), (-0.5, True)]
+
     def test_codebook_row_samples_cheat_sets(self, tmp_path, codebook_path):
         out = tmp_path / "report"
         assert run("bounds", "--theta", "0.2", "--n", "4", "--r", "2",

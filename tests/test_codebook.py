@@ -936,7 +936,7 @@ class TestSettableSurface:
         "cls, names",
         [
             (BinaryCode, ["generator"]),
-            (linalg.DensityMatrix, ["mat", "involution"]),
+            (linalg.DensityMatrix, ["mat", "labels"]),
             (Codebook, ["code", "epsilon_certified", "seed", "attempts"]),
             (Transcript, ["protocol", "phase", "params", "seeds", "commit",
                           "unveil", "verify", "strategy", "tool"]),

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qbsc import InputError, protocol1, uniform_commitment_state, von_neumann_entropy
-from qbsc import adversary, harness, linalg, protocol2
+from qbsc import adversary, harness, protocol2
 from qbsc.codebook import generate_certified_codebook
 from qbsc.harness import bound_sweep, commit_session, unveil_session, verify_session
 from qbsc.linalg import DensityMatrix
 
-from oracles import full_spectrum
+from oracles import computational_mixture
 
 
 def counting(monkeypatch, module, name, calls):
@@ -72,8 +72,9 @@ class TestSweepLimits:
 # sha256 of each output at the commit before sessions and cheat sessions
 # shared one pipeline; identical seeds must keep giving identical bytes.  The
 # two report digests were re-pinned when the protocol-1 mixture spectrum moved
-# to the two blocks of the qubit reversal: the last bits of holevo_brute_bits
-# changed; PRE_BLOCK_SOLVE holds their earlier values.
+# to blocks of a symmetry (first the qubit reversal, then the pair basis): the
+# last bits of holevo_brute_bits changed; PRE_BLOCK_SOLVE holds their values
+# from one eigvalsh of the computational Kronecker power.
 GOLDEN = {
     "honest1_exact": "96999eb05354cef138e8ad2187bf5de874803b56ce034da0861f4d1952ca77d2",
     "honest1_sampled": "6b91ce4e0322e5e5709010d8904019c04d3751322776727df4aae73310ec3df5",
@@ -85,8 +86,8 @@ GOLDEN = {
     "cheat1_density": "615bdd3bbf42d53a0718fc81ac8aec474763cd3935942c972608f6272a809df3",
     "cheat2_top": "7373488bac535b33438dc157645cf9e137c1470b90e4405683a0068329e8ea40",
     "cheat2_density": "c72287bac10a34143305ae21b80a082f87eb30a6db046519280fad8f6b2ac22f",
-    "report_cheat_sets": "15d26be01c9f1c80f2bea7967dbe3b8678f6b654f520c3261a832321363708a1",
-    "report_plain": "0c97dc04db96f5b165ca9080805e2f8f44b8c7634153b684ebe88bff3c6e7b5d",
+    "report_cheat_sets": "5a822dd6bf684b518b193c9f974469156c0b89d10de9c897c163842173e45a19",
+    "report_plain": "28ea9e989adfe8ca54e3cecdd0997eaa55bf4bd33b1595af87cd49a5530addf1",
 }
 PRE_BLOCK_SOLVE = {
     "report_cheat_sets": "6a703b0bba6fb088d279e7535035c1e7f2abff417f9c08ba41a7be0693302613",
@@ -154,9 +155,10 @@ class TestSessionPipeline:
     def test_reports_keep_their_bytes_under_the_full_solve(
         self, pinned_codebook, monkeypatch, name
     ):
-        # only the spectrum solve moved the re-pinned digests: with one
-        # eigvalsh of the whole mixture the reports are the earlier bytes
-        monkeypatch.setattr(linalg, "_involution_spectrum", full_spectrum)
+        # only the mixture's basis and spectrum solve moved the re-pinned
+        # digests: with one eigvalsh of the computational Kronecker power
+        # the reports are the earlier bytes
+        monkeypatch.setattr(protocol1, "uniform_commitment_state", computational_mixture)
         text = golden_output(name, pinned_codebook)
         assert hashlib.sha256(text.encode()).hexdigest() == PRE_BLOCK_SOLVE[name]
 

@@ -21,7 +21,6 @@ from qbsc.linalg import _max_asymmetry
 
 from oracles import (
     eig_hermitian,
-    full_spectrum,
     inner,
     random_density_matrix,
     random_ket,
@@ -300,8 +299,27 @@ def involution_of(pairs, dim):
     return perm
 
 
+def parity_basis(perm):
+    """The orthogonal map onto the involution's eigenbasis, one row per
+    vector, and each vector's parity: e_x for each fixed x and
+    (e_a + e_b)/sqrt 2 for each swapped pair a < b are even (0), and
+    (e_a - e_b)/sqrt 2 is odd (1)."""
+    index = np.arange(perm.size)
+    fixed, a = index[perm == index], index[perm > index]
+    even = fixed.size + np.arange(a.size)
+    odd = even + a.size
+    basis = np.zeros((perm.size, perm.size))
+    basis[np.arange(fixed.size), fixed] = 1.0
+    basis[even, a] = basis[even, perm[a]] = basis[odd, a] = math.sqrt(0.5)
+    basis[odd, perm[a]] = -math.sqrt(0.5)
+    return basis, np.repeat([0, 1], [perm.size - a.size, a.size])
+
+
 class TestInvolutionSpectrum:
-    """The block solve under a declared involution against one full solve."""
+    """The labelled solve of a state that commutes with an involution, in the
+    involution's eigenbasis and labelled by parity, against one full solve:
+    the shape of the protocol-1 mixture, whose pair basis is the eigenbasis
+    of its pair swaps."""
 
     @pytest.mark.parametrize(
         "dim, pairs",
@@ -315,36 +333,71 @@ class TestInvolutionSpectrum:
         if real:
             rho = rho.real
         commuting = (rho + rho[np.ix_(perm, perm)]) / 2
-        blocks = DensityMatrix(commuting, involution=perm)
-        assert np.max(np.abs(blocks.spectrum - full_spectrum(commuting))) <= 1e-14
+        basis, parity = parity_basis(perm)
+        blocks = DensityMatrix(basis @ commuting @ basis.T, labels=parity)
+        assert np.max(np.abs(blocks.spectrum - np.linalg.eigvalsh(commuting))) <= 1e-14
         assert blocks.mat.dtype == (np.float64 if real else np.complex128)
 
     def test_non_commuting_state_refused(self):
         mat = np.diag([0.5, 0.3, 0.2])  # symmetric, trace 1, PSD
-        DensityMatrix(mat)
-        with pytest.raises(NumericalError, match="does not commute"):
-            DensityMatrix(mat, involution=[1, 0, 2])
-        rho = random_density_matrix(8, make_rng(3))
-        with pytest.raises(NumericalError, match="does not commute"):
-            DensityMatrix(rho.mat, involution=[0, 4, 2, 6, 1, 5, 3, 7])
+        basis, parity = parity_basis(np.array([1, 0, 2]))
+        DensityMatrix(basis @ mat @ basis.T)
+        with pytest.raises(NumericalError, match="not block diagonal"):
+            DensityMatrix(basis @ mat @ basis.T, labels=parity)
+        rho = random_density_matrix(8, make_rng(3)).mat
+        basis, parity = parity_basis(np.array([0, 4, 2, 6, 1, 5, 3, 7]))
+        with pytest.raises(NumericalError, match="not block diagonal"):
+            DensityMatrix(basis @ rho @ basis.T, labels=parity)
+
+
+def block_diagonal_state(labels, real):
+    """A random full-rank state with every entry coupling two labels zeroed;
+    the pinching keeps it Hermitian, unit-trace and positive."""
+    labels = np.asarray(labels)
+    rho = random_density_matrix(labels.size, make_rng(labels.size)).mat
+    if real:
+        rho = rho.real
+    return rho * (labels[:, None] == labels[None, :])
+
+
+class TestLabelledSpectrum:
+    """The block solve over declared labels against one full solve."""
 
     @pytest.mark.parametrize(
-        "perm",
-        [[0, 1], [0, 1, 2, 3], [1, 2, 0], [0, 0, 2], [0, 1, 3], [-1, 1, 2],
-         [0.0, 1.0, 2.0], [[0, 1, 2]], [True, False, True], "012"],
-        ids=["short", "long", "3-cycle", "repeated", "out-of-range", "negative",
-             "float", "2-D", "bool", "string"],
+        "dim, values", [(1, [7]), (2, [0, 1]), (5, [3]), (9, [0, 1, 2]), (16, [-2, 0, 5, 9])]
     )
-    def test_index_array_must_be_an_involution(self, perm):
-        with pytest.raises(InputError, match="involution"):
-            DensityMatrix(np.eye(3) / 3, involution=perm)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_matches_full_solve_under_shuffled_labels(self, dim, values, real):
+        labels = make_rng(dim).permutation(np.resize(values, dim))
+        mat = block_diagonal_state(labels, real)
+        blocks = DensityMatrix(mat, labels=labels)
+        assert np.max(np.abs(blocks.spectrum - np.linalg.eigvalsh(mat))) <= 1e-14
+        assert blocks.mat.dtype == (np.float64 if real else np.complex128)
 
-    def test_involution_neither_compared_nor_shown(self):
-        spec = {f.name: f for f in dataclasses.fields(DensityMatrix)}["involution"]
+    @pytest.mark.parametrize("real", [True, False])
+    def test_one_coupling_entry_refused(self, real):
+        labels = np.array([0, 1, 0, 2, 1, 2, 0, 1])
+        mat = block_diagonal_state(labels, real)
+        DensityMatrix(mat.copy(), labels=labels)
+        mat[1, 2] = mat[2, 1] = 1e-6  # labels 1 and 0
+        with pytest.raises(NumericalError, match="not block diagonal"):
+            DensityMatrix(mat, labels=labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1], [0, 1, 2, 3], [0.0, 1.0, 2.0], [[0, 1, 2]], [True, False, True], "012"],
+        ids=["short", "long", "float", "2-D", "bool", "string"],
+    )
+    def test_labels_must_be_one_integer_per_index(self, labels):
+        with pytest.raises(InputError, match="labels"):
+            DensityMatrix(np.eye(3) / 3, labels=labels)
+
+    def test_labels_neither_compared_nor_shown(self):
+        spec = {f.name: f for f in dataclasses.fields(DensityMatrix)}["labels"]
         assert spec.compare is False and spec.repr is False
-        rho = DensityMatrix(np.eye(2) / 2, involution=np.array([1, 0]))
-        assert rho.involution.tolist() == [1, 0]
-        assert not rho.involution.flags.writeable
+        rho = DensityMatrix(np.eye(2) / 2, labels=np.array([1, 0]))
+        assert rho.labels.tolist() == [1, 0]
+        assert not rho.labels.flags.writeable
 
 
 class TestEntropy:

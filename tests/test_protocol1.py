@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ from qbsc import (
 )
 from qbsc import linalg
 from qbsc.codebook import make_rng
-from qbsc.linalg import DensityMatrix
 
-from oracles import full_spectrum, random_density_matrix, tensor
+from oracles import computational_mixture, random_density_matrix, tensor
 
 
 def h2(p):
@@ -187,19 +187,33 @@ class TestBindingBound:
             assert total == pytest.approx(1.0 + math.sin(theta), abs=1e-9)
 
 
+def pair_rotation(n):
+    """Q = U^(x p) (x I_2 for odd n): the orthogonal map from the
+    computational basis to the pair basis of the mixture."""
+    r = math.sqrt(0.5)
+    u = np.array([[1, 0, 0, 0], [0, r, r, 0], [0, 0, 0, 1], [0, r, -r, 0]])
+    q = np.eye(2 ** (n % 2))
+    for _ in range(n // 2):
+        q = np.kron(u, q)
+    return q
+
+
 class TestUniformCommitmentState:
     def test_matches_explicit_mixture(self):
-        # oracle: explicit tensor products of the encodings, big-endian
-        theta, n = 0.3, 3
-        rho = uniform_commitment_state(n, theta)
-        mix = np.zeros((2**n, 2**n), dtype=complex)
-        for idx in range(2**n):
-            bits = format(idx, f"0{n}b")
-            state = encode_bit(int(bits[0]), theta)
-            for b in bits[1:]:
-                state = tensor(state, encode_bit(int(b), theta))
-            mix += projector(state).mat / 2**n
-        assert np.max(np.abs(mix - rho.mat)) <= 1e-12
+        # oracle: explicit tensor products of the encodings, big-endian,
+        # rotated into the pair basis
+        theta = 0.3
+        for n in (3, 4):
+            rho = uniform_commitment_state(n, theta)
+            mix = np.zeros((2**n, 2**n), dtype=complex)
+            for idx in range(2**n):
+                bits = format(idx, f"0{n}b")
+                state = encode_bit(int(bits[0]), theta)
+                for b in bits[1:]:
+                    state = tensor(state, encode_bit(int(b), theta))
+                mix += projector(state).mat / 2**n
+            q = pair_rotation(n)
+            assert np.max(np.abs(q @ mix @ q.T - rho.mat)) <= 1e-12
 
     @pytest.mark.parametrize("theta", [0.05, 0.3, 1.2])
     def test_matches_column_product_build(self, theta):
@@ -213,37 +227,48 @@ class TestUniformCommitmentState:
             columns = np.kron(columns, single)
             rho = uniform_commitment_state(n, theta)
             assert rho.mat.dtype == np.float64
-            assert np.max(np.abs(rho.mat - columns @ columns.T / 2**n)) <= 1e-12
+            q = pair_rotation(n)
+            assert np.max(np.abs(rho.mat - q @ columns @ columns.T @ q.T / 2**n)) <= 1e-12
 
     def test_dense_matrix_is_the_kron_power_to_the_bit(self):
+        # the pair factor is the n = 2 mixture, the unpaired qubit's the n = 1
         single = uniform_commitment_state(1, 0.3).mat
-        power = single
-        for n in range(2, 11):
-            power = np.kron(power, single)
+        pair = uniform_commitment_state(2, 0.3).mat
+        for n in range(1, 11):
+            power = np.ones((1, 1))
+            for factor in [pair] * (n // 2) + [single] * (n % 2):
+                power = np.kron(power, factor)
             assert np.array_equal(uniform_commitment_state(n, 0.3).mat, power)
 
     @pytest.mark.parametrize("theta", [0.05, 0.3, 1.2, math.pi / 2 - 1e-3])
     def test_block_spectrum_matches_the_full_solve(self, theta):
         for n in range(1, 11):
             rho = uniform_commitment_state(n, theta)
-            full = full_spectrum(rho.mat)
-            assert np.max(np.abs(rho.spectrum - full)) <= 1e-14
-            slow = von_neumann_entropy(DensityMatrix(rho.mat))
-            assert abs(von_neumann_entropy(rho) - slow) <= 1e-12
+            full = computational_mixture(n, theta)
+            assert np.max(np.abs(rho.spectrum - full.spectrum)) <= 1e-14
+            assert abs(von_neumann_entropy(rho) - von_neumann_entropy(full)) <= 1e-12
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_solved_on_the_two_blocks_of_the_qubit_reversal(self, monkeypatch, n):
-        reversed_bits = [int(format(x, f"0{n}b")[::-1], 2) for x in range(2**n)]
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_solved_on_the_blocks_of_the_pair_swaps(self, monkeypatch, n):
         sizes = []
         solve = linalg._eigvalsh
         monkeypatch.setattr(
-            linalg, "_eigvalsh", lambda mat: sizes.append(mat.shape) or solve(mat)
+            linalg, "_eigvalsh", lambda mat: sizes.append(mat.shape[0]) or solve(mat)
         )
         rho = uniform_commitment_state(n, 0.3)
-        assert rho.involution.tolist() == reversed_bits
-        fixed = 2 ** ((n + 1) // 2)
-        even, odd = (2**n + fixed) // 2, (2**n - fixed) // 2
-        assert sizes == [(even, even), (odd, odd)]
+        # one block per set of pairs (2i, 2i + 1) in their antisymmetric
+        # state, which is pair digit 3 (binary 11) of a basis index
+        p = n // 2
+        antisymmetric = [
+            tuple(format(x, f"0{n}b")[2 * i : 2 * i + 2] == "11" for i in range(p))
+            for x in range(2**n)
+        ]
+        partition = set(zip(rho.labels.tolist(), antisymmetric))
+        assert len(partition) == len(set(rho.labels.tolist())) == 2**p
+        expected = {3 ** (p - s) * 2 ** (n % 2): math.comb(p, s) for s in range(p + 1)}
+        assert Counter(sizes) == expected
+        if n == 10:
+            assert Counter(sizes) == {243: 1, 81: 5, 27: 10, 9: 10, 3: 5, 1: 1}
 
     def test_trace_one(self):
         rho = uniform_commitment_state(4, 0.2)

@@ -276,6 +276,8 @@ class TestEqualityConfiguration:
             equality_configuration(3, 0.5)
         with pytest.raises(InputError):
             equality_configuration(2, -0.1)
+        with pytest.raises(InputError):
+            equality_configuration(1, 5.0)
 
 
 class TestMixtureArgument:

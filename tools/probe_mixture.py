@@ -1,4 +1,4 @@
-"""Time and peak RSS of the protocol-1 mixture: its build and both solves.
+"""Time and peak RSS of the protocol-1 mixture: its build and two solves.
 
     python3 tools/probe_mixture.py --ns 8,10,11,12 --theta 0.3
 
@@ -8,10 +8,11 @@ theta)`` call, the library's whole path (build, validation and spectrum),
 with the growth of the process's peak RSS across it
 (``resource.getrusage``, so Unix only).  Then it times on their own:
 
-- ``build_s``: the dense 2^n x 2^n matrix (``protocol1._mixture_matrix``);
+- ``build_s``: the dense 2^n x 2^n matrix in the pair basis and its
+  labels (``protocol1._pair_basis_mixture``);
 - ``full_solve_s``: ``np.linalg.eigvalsh`` of that matrix;
-- ``block_solve_s``: ``linalg._involution_spectrum`` of it under the
-  qubit-reversal involution, with its coupling check.
+- ``block_solve_s``: ``linalg._labelled_spectrum`` of it over those
+  labels, with its coupling check.
 
 Each n runs ``--repeats`` times, every time in a new process, and one JSON
 object per n gives the median of each figure.
@@ -46,10 +47,9 @@ def timed(fn):
 before = peak_mb()
 wall, _ = timed(lambda: protocol1.uniform_commitment_state(n, theta))
 after = peak_mb()
-build_s, mat = timed(lambda: protocol1._mixture_matrix(n, theta))
+build_s, (mat, labels) = timed(lambda: protocol1._pair_basis_mixture(n, theta))
 full_s, _ = timed(lambda: np.linalg.eigvalsh(mat))
-perm = protocol1._qubit_reversal(n)
-block_s, _ = timed(lambda: linalg._involution_spectrum(mat, perm))
+block_s, _ = timed(lambda: linalg._labelled_spectrum(mat, labels))
 print(json.dumps({"wall_s": wall, "growth_mb": after - before, "peak_rss_mb": after,
                   "build_s": build_s, "full_solve_s": full_s, "block_solve_s": block_s}))
 """
