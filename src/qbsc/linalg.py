@@ -27,6 +27,9 @@ _COUPLING_TOL = 1e-12
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Read-only ``arr`` if it owns its data, else a read-only copy of it."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
@@ -85,7 +88,7 @@ class HermitianOp:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError("operator must be a square matrix")
         # any NaN or inf entry makes the asymmetry NaN or inf and fails
-        if not _max_asymmetry(arr) <= NORM_TOL:
+        if getattr(self, "labels", None) is None and not _max_asymmetry(arr) <= NORM_TOL:
             raise InputError("matrix is not Hermitian within 1e-10")
         object.__setattr__(self, "mat", _freeze(arr))
 
@@ -102,9 +105,10 @@ class DensityMatrix(HermitianOp):
     evaluations do not repeat the eigensolve.
 
     ``labels`` optionally gives each basis index an integer label and
-    declares the matrix block diagonal over them; the spectrum is then
-    solved one label's block at a time, once the entries coupling two
-    labels are checked to vanish (:func:`_labelled_spectrum`).
+    declares the matrix block diagonal over them.  One pass over the rows of
+    each label then checks its block's Hermiticity and that the entries
+    coupling it to other labels vanish, and solves each distinct block once
+    (:func:`_labelled_spectrum`), in place of the whole-matrix check.
     """
 
     labels: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -138,27 +142,45 @@ def _labelled_spectrum(mat: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian ``M`` that is block diagonal
     over the index labels ``labels``.
 
-    The rows of each label are gathered once; the columns of the same label
-    give its block, which is solved by itself, and the squares of every
-    other entry of those rows are summed.  That sum is the squared Frobenius
-    norm of all entries coupling two labels, which bounds how far the
-    spectrum of the blocks is from that of ``M`` (Weyl); a norm above 1e-12
-    raises :class:`NumericalError`.
+    Each label's rows are gathered once; its block must be Hermitian within
+    1e-10 (else InputError), and the squares of the other entries are summed.
+    A block within 1e-12 (Frobenius) of a solved one of its size, kept while
+    one can follow, reuses its eigenvalues and adds the squared difference
+    to the sum.  The root of the sum bounds the error of the spectrum
+    (Weyl); above 1e-12 it raises NumericalError, NaN or inf InputError.
+    It also bounds each entry coupling two labels, so |M_ij - conj(M_ji)|
+    <= 2e-12 there: ``M`` is Hermitian with no pass over the whole matrix.
     """
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order])) + 1
+    indices = np.split(order, starts)
+    last = {index.size: k for k, index in enumerate(indices)}
+    solved = {}  # size -> the last block of that size solved, its eigenvalues
     spectra = []
-    coupling_sq = 0.0
-    for index in np.split(order, starts):
+    error_sq = 0.0
+    for k, index in enumerate(indices):
         rows = mat.take(index, axis=0)
-        spectra.append(_eigvalsh(rows.take(index, axis=1)))
+        block = rows.take(index, axis=1)
+        if not _max_asymmetry(block) <= NORM_TOL:
+            raise InputError("matrix is not Hermitian within 1e-10")
         rows[:, index] = 0.0
-        coupling_sq += float(np.vdot(rows, rows).real)
-    coupling = math.sqrt(coupling_sq)
-    if not coupling <= _COUPLING_TOL:
+        error_sq += float(np.vdot(rows, rows).real)
+        diff = block - solved[index.size][0] if index.size in solved else math.inf
+        diff_sq = float(np.vdot(diff, diff).real)
+        if diff_sq <= _COUPLING_TOL**2:
+            error_sq += diff_sq
+        else:
+            solved[index.size] = block, _eigvalsh(block)
+        spectra.append(solved[index.size][1])
+        if last[index.size] == k:
+            del solved[index.size]
+        del rows, block  # freed before the next label's rows are gathered
+    if not math.isfinite(error_sq):
+        raise InputError("matrix has a NaN or inf entry coupling two labels")
+    if not error_sq <= _COUPLING_TOL**2:
         raise NumericalError(
-            f"matrix is not block diagonal over its labels: coupling "
-            f"norm {coupling!r} exceeds {_COUPLING_TOL}"
+            f"matrix is not block diagonal over its labels: coupling and "
+            f"reuse norm {math.sqrt(error_sq)!r} exceeds {_COUPLING_TOL}"
         )
     return np.sort(np.concatenate(spectra))
 

@@ -236,24 +236,25 @@ def _pair_basis_mixture(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     labels = np.zeros(1, dtype=np.intp)
     for _ in range(n // 2):
         labels = (2 * labels[:, None] + (np.arange(4) == 3)).ravel()
-    factors = [pair] * (n // 2) + [single] * (n % 2)
-    return _kron_product(factors), np.repeat(labels, 2 ** (n % 2))
+    mat = _kron_product([pair] * (n // 2) + [single] * (n % 2))
+    mat.setflags(write=False)  # fresh, so the density matrix keeps it uncopied
+    return mat, np.repeat(labels, 2 ** (n % 2))
 
 
 def _kron_product(factors: list[np.ndarray]) -> np.ndarray:
     """The Kronecker product of real square factors as a dense array.
 
-    Each step writes the products of ``np.kron(product, factor)`` straight
-    into a preallocated array, one strided block per entry of the factor,
-    so the result is the same to the bit without ``np.kron``'s reshape copy.
+    Built from the right, each step writes ``np.kron(factor, product)``
+    into a preallocated array, one block ``blocks[i, :, j, :]`` of contiguous
+    rows per factor entry: the same to the bit without ``np.kron``'s copy.
     """
-    product = factors[0]
-    for factor in factors[1:]:
+    product = factors[-1]
+    for factor in factors[-2::-1]:
         size, d = product.shape[0], factor.shape[0]
-        grown = np.empty((size * d, size * d))
-        blocks = grown.reshape(size, d, size, d)
+        grown = np.empty((d * size, d * size))
+        blocks = grown.reshape(d, size, d, size)
         for (i, j), value in np.ndenumerate(factor):
-            np.multiply(product, value, out=blocks[:, i, :, j])
+            np.multiply(product, value, out=blocks[i, :, j, :])
         product = grown
     return product
 

@@ -121,7 +121,9 @@ def verify_unveil2(
 def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
     """Sum of the projectors onto the cheat set's code states."""
     rows = np.stack([cb.state(i).amps for i in s.indices])
-    return HermitianOp(rows.T @ rows.conj())
+    mat = rows.T @ rows.conj()
+    mat.setflags(write=False)  # fresh, so the operator keeps it uncopied
+    return HermitianOp(mat)
 
 
 def cheat_set_gram(cb: Codebook, s: CheatSet) -> np.ndarray:

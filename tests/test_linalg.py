@@ -15,6 +15,7 @@ from qbsc import (
     projector,
     von_neumann_entropy,
 )
+from qbsc import linalg
 from qbsc.codebook import make_rng
 from qbsc.errors import NumericalError
 from qbsc.linalg import _max_asymmetry
@@ -219,6 +220,48 @@ def _old_asymmetry(arr):
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
+class TestCallerArrays:
+    """An operator never changes the flags or values of the caller's array."""
+
+    @pytest.mark.parametrize(
+        "make, raw",
+        [
+            (HermitianOp, np.eye(2) / 2),
+            (HermitianOp, np.eye(2, dtype=complex) / 2),
+            (DensityMatrix, np.eye(2) / 2),
+            (DensityMatrix, np.eye(2, dtype=complex) / 2),
+            (Ket, np.array([1.0, 0.0], dtype=complex)),
+            (Ket, np.array([0.6, 0.8])),
+        ],
+    )
+    def test_input_stays_writable(self, make, raw):
+        value = make(raw)
+        kept = raw.copy()
+        raw[0] = 0.7
+        assert raw.flags.writeable
+        stored = value.amps if make is Ket else value.mat
+        assert np.array_equal(stored, kept) and not stored.flags.writeable
+
+    def test_labels_stay_writable(self):
+        labels = np.array([0, 1])
+        rho = DensityMatrix(np.eye(2) / 2, labels=labels)
+        labels[0] = 5
+        assert rho.labels.tolist() == [0, 1]
+
+    def test_read_only_view_is_copied(self):
+        base = np.eye(2) / 2
+        view = base[:]
+        view.setflags(write=False)
+        rho = DensityMatrix(view)
+        base[0, 0] = 0.7
+        assert rho.mat[0, 0] == 0.5
+
+    def test_read_only_owned_array_is_kept(self):
+        mat = np.eye(2) / 2
+        mat.setflags(write=False)
+        assert DensityMatrix(mat).mat is mat
+
+
 class TestHermitianCheck:
     @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 300])
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -381,6 +424,72 @@ class TestLabelledSpectrum:
         DensityMatrix(mat.copy(), labels=labels)
         mat[1, 2] = mat[2, 1] = 1e-6  # labels 1 and 0
         with pytest.raises(NumericalError, match="not block diagonal"):
+            DensityMatrix(mat, labels=labels)
+
+    @staticmethod
+    def counted_solves(monkeypatch):
+        sizes = []
+        solve = linalg._eigvalsh
+        monkeypatch.setattr(
+            linalg, "_eigvalsh", lambda mat: sizes.append(mat.shape[0]) or solve(mat)
+        )
+        return sizes
+
+    @staticmethod
+    def repeated_block(copies, real=True):
+        """``copies`` equal 3 x 3 blocks of a random state on the diagonal,
+        labelled 0, 1, ...; its spectrum is that of one block, repeated."""
+        block = random_density_matrix(3, make_rng(3)).mat / copies
+        if real:
+            block = block.real
+        return np.kron(np.eye(copies), block), np.repeat(np.arange(copies), 3)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_equal_blocks_solved_once(self, monkeypatch, real):
+        mat, labels = self.repeated_block(3, real)
+        sizes = self.counted_solves(monkeypatch)
+        rho = DensityMatrix(mat, labels=labels)
+        assert sizes == [3]
+        assert np.max(np.abs(rho.spectrum - np.linalg.eigvalsh(mat))) <= 1e-14
+
+    def test_different_block_of_the_same_size_solved_by_itself(self, monkeypatch):
+        mat, labels = self.repeated_block(3)
+        mat[6, 7] += 1e-6  # the last block
+        mat[7, 6] += 1e-6
+        sizes = self.counted_solves(monkeypatch)
+        rho = DensityMatrix(mat, labels=labels)
+        assert sizes == [3, 3]
+        assert np.max(np.abs(rho.spectrum - np.linalg.eigvalsh(mat))) <= 1e-14
+
+    def test_reuse_differences_join_the_coupling_norm(self, monkeypatch):
+        mat, labels = self.repeated_block(3)
+        mat[3, 3] += 0.8e-12  # one near-equal block alone is reused
+        sizes = self.counted_solves(monkeypatch)
+        DensityMatrix(mat.copy(), labels=labels)
+        assert sizes == [3]
+        with_coupling = mat.copy()
+        with_coupling[0, 8] = with_coupling[8, 0] = 0.5e-12
+        with pytest.raises(NumericalError, match="not block diagonal"):
+            DensityMatrix(with_coupling, labels=labels)
+        mat[6, 6] += 0.8e-12  # two: sqrt(2) * 0.8e-12 > 1e-12
+        with pytest.raises(NumericalError, match="not block diagonal"):
+            DensityMatrix(mat, labels=labels)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_asymmetric_block_entry_refused(self, real):
+        mat, labels = self.repeated_block(3, real)
+        mat[4, 5] += 1e-9
+        with pytest.raises(InputError, match="not Hermitian"):
+            DensityMatrix(mat, labels=labels)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_non_finite_coupling_entry_refused(self, bad, mirrored):
+        mat, labels = self.repeated_block(3)
+        mat[2, 6] = bad
+        if mirrored:
+            mat[6, 2] = bad
+        with pytest.raises(InputError, match="NaN or inf"):
             DensityMatrix(mat, labels=labels)
 
     @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from qbsc import (
     verify_unveil,
     von_neumann_entropy,
 )
-from qbsc import linalg
+from qbsc import linalg, protocol1
 from qbsc.codebook import make_rng
 
 from oracles import computational_mixture, random_density_matrix, tensor
@@ -235,9 +234,10 @@ class TestUniformCommitmentState:
         single = uniform_commitment_state(1, 0.3).mat
         pair = uniform_commitment_state(2, 0.3).mat
         for n in range(1, 11):
+            # built from the right, as the library builds it
             power = np.ones((1, 1))
-            for factor in [pair] * (n // 2) + [single] * (n % 2):
-                power = np.kron(power, factor)
+            for factor in [single] * (n % 2) + [pair] * (n // 2):
+                power = np.kron(factor, power)
             assert np.array_equal(uniform_commitment_state(n, 0.3).mat, power)
 
     @pytest.mark.parametrize("theta", [0.05, 0.3, 1.2, math.pi / 2 - 1e-3])
@@ -265,10 +265,23 @@ class TestUniformCommitmentState:
         ]
         partition = set(zip(rho.labels.tolist(), antisymmetric))
         assert len(partition) == len(set(rho.labels.tolist())) == 2**p
-        expected = {3 ** (p - s) * 2 ** (n % 2): math.comb(p, s) for s in range(p + 1)}
-        assert Counter(sizes) == expected
+        # blocks with the same number of antisymmetric pairs are equal, so
+        # one block of each size 3^q * 2^(n % 2) is solved
+        assert sorted(sizes) == [3**q * 2 ** (n % 2) for q in range(p + 1)]
         if n == 10:
-            assert Counter(sizes) == {243: 1, 81: 5, 27: 10, 9: 10, 3: 5, 1: 1}
+            assert sizes == [243, 81, 27, 9, 3, 1]
+
+    def test_dense_matrix_is_not_copied(self, monkeypatch):
+        built = []
+        build = protocol1._pair_basis_mixture
+
+        def spy(n, theta):
+            built.append(build(n, theta))
+            return built[-1]
+
+        monkeypatch.setattr(protocol1, "_pair_basis_mixture", spy)
+        rho = uniform_commitment_state(10, 0.3)
+        assert np.shares_memory(rho.mat, built[0][0])
 
     def test_trace_one(self):
         rho = uniform_commitment_state(4, 0.2)

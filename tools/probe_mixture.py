@@ -12,7 +12,11 @@ with the growth of the process's peak RSS across it
   labels (``protocol1._pair_basis_mixture``);
 - ``full_solve_s``: ``np.linalg.eigvalsh`` of that matrix;
 - ``block_solve_s``: ``linalg._labelled_spectrum`` of it over those
-  labels, with its coupling check.
+  labels, with its per-block Hermiticity and coupling checks;
+- ``hermiticity_s``: ``linalg._max_asymmetry`` of the whole matrix, the
+  pass that a labelled density matrix no longer makes;
+- ``solves``: how many blocks ``_labelled_spectrum`` hands to the
+  eigensolver (``linalg._eigvalsh``).
 
 Each n runs ``--repeats`` times, every time in a new process, and one JSON
 object per n gives the median of each figure.
@@ -50,8 +54,13 @@ after = peak_mb()
 build_s, (mat, labels) = timed(lambda: protocol1._pair_basis_mixture(n, theta))
 full_s, _ = timed(lambda: np.linalg.eigvalsh(mat))
 block_s, _ = timed(lambda: linalg._labelled_spectrum(mat, labels))
+hermiticity_s, _ = timed(lambda: linalg._max_asymmetry(mat))
+solves, solve = [], linalg._eigvalsh
+linalg._eigvalsh = lambda block: solves.append(block.shape[0]) or solve(block)
+linalg._labelled_spectrum(mat, labels)
 print(json.dumps({"wall_s": wall, "growth_mb": after - before, "peak_rss_mb": after,
-                  "build_s": build_s, "full_solve_s": full_s, "block_solve_s": block_s}))
+                  "build_s": build_s, "full_solve_s": full_s, "block_solve_s": block_s,
+                  "hermiticity_s": hermiticity_s, "solves": len(solves)}))
 """
 
 
