@@ -182,10 +182,11 @@ def _cmd_cheat(args) -> int:
         cb = _load_codebook(args.codebook)
         indices = _parse_ints(args.cheat_set)
         cheat_set = protocol2.cheat_set_for(cb, indices)
-        q = protocol2.q_operator(cb, cheat_set)
-        bound = protocol2.binding_bound2(cheat_set.r, cb.epsilon_certified)
         if args.strategy == "top-eigenvector":
-            strategy = adversary.top_eigenvector_strategy(q, bound=bound)
+            strategy = adversary.top_eigenvector_strategy(
+                protocol2.q_operator(cb, cheat_set),
+                bound=protocol2.binding_bound2(cheat_set.r, cb.epsilon_certified),
+            )
         else:
             strategy = adversary.CheatStrategy(
                 kind="custom-state", state=cb.state(indices[0])

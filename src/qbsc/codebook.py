@@ -19,7 +19,9 @@ computed inner products of 100 seeded pairs.  The pairs are drawn in one
 call, each side's codewords come from one batched call, and each amplitude
 is written as the sign bit of ``1/sqrt(m)``.  A batch of codewords comes
 from the generator rows held as ``m``-bit integers: each message XORs the
-rows it selects, and one ``unpackbits`` turns the batch into a bit matrix.
+rows it selects, and one ``unpackbits`` turns the batch into a bit matrix
+(the reveal-set Gram matrix reads the packed integers themselves, its
+distances being popcounts of their XOR).
 The same packed rows give the rank over GF(2) as the size of an XOR basis.
 Stored generator rows are hex strings of exactly ``ceil(m/4)`` lowercase
 digits, written and read through ``packbits``/``unpackbits``, and a stored
@@ -176,8 +178,15 @@ class BinaryCode:
     def codewords(self, messages) -> np.ndarray:
         """``(len(messages), m)`` uint8 codewords of big-endian message indices.
 
-        Each codeword is the XOR of the packed generator rows its message
-        selects; the whole batch is unpacked to bits at once.
+        The packed codewords of :meth:`_packed_words`, unpacked to bits at
+        once.
+        """
+        return _value_rows(self._packed_words(messages), self.m)
+
+    def _packed_words(self, messages) -> list[int]:
+        """Codewords of big-endian message indices as ``m``-bit integers.
+
+        Each is the XOR of the packed generator rows its message selects.
         """
         size = 2**self.k
         words = []
@@ -191,7 +200,7 @@ class BinaryCode:
                     word ^= row
                 x >>= 1
             words.append(word)
-        return _value_rows(words, self.m)
+        return words
 
     def codeword(self, message: int) -> np.ndarray:
         return self.codewords((message,))[0]

@@ -15,8 +15,10 @@ entries ``1 - 2 d_ij / m`` follow from codeword distances, so the reveal-set
 top eigenvalue is an ``r x r`` solve.  The uniform code ensemble has density
 entries ``[column j of G == column l of G] / m``, so its entropy follows in
 closed form from the multiplicities of the generator's columns.  The dense
-``dim x dim`` forms (``q_operator`` and the explicit mixture) remain: the
-former for the top-eigenvector cheat strategy, both as the tests' oracles.
+``Q`` remains for the top-eigenvector cheat strategy of ``qbsc cheat``: a
+real float64 ``dim x dim`` matrix from one batch of codewords, since the
+states' amplitudes are real.  The explicit mixture remains only as the
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, _column_values, capacity
+from .codebook import Codebook, _amplitudes, _column_values, capacity
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import projection_probability
@@ -119,9 +121,10 @@ def verify_unveil2(
 
 
 def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
-    """Sum of the projectors onto the cheat set's code states."""
-    rows = np.stack([cb.state(i).amps for i in s.indices])
-    mat = rows.T @ rows.conj()
+    """Sum of the projectors onto the cheat set's code states, as a real
+    float64 ``dim x dim`` matrix built from one batch of codewords."""
+    rows = _amplitudes(cb.code.codewords(s.indices))
+    mat = rows.T @ rows
     mat.setflags(write=False)  # fresh, so the operator keeps it uncopied
     return HermitianOp(mat)
 
@@ -129,11 +132,12 @@ def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
 def cheat_set_gram(cb: Codebook, s: CheatSet) -> np.ndarray:
     """Real ``r x r`` Gram matrix ``1 - 2 d_ij / m`` of the cheat set's states.
 
-    ``d_ij`` is the Hamming distance between the codewords; the matrix has
-    the nonzero spectrum of :func:`q_operator`.
+    ``d_ij`` is the Hamming distance between the codewords, the popcount of
+    the XOR of their packed integers; the matrix has the nonzero spectrum of
+    :func:`q_operator`.
     """
-    words = cb.code.codewords(s.indices).astype(np.int64)
-    distances = words @ (1 - words).T + (1 - words) @ words.T
+    words = cb.code._packed_words(s.indices)
+    distances = np.array([[(a ^ b).bit_count() for b in words] for a in words])
     return 1.0 - 2.0 * distances / cb.code.m
 
 

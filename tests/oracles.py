@@ -13,7 +13,9 @@ that reads only the two extreme weights.  The protocol-1 mixture as the
 ``np.kron`` power of the single-qubit mixture in the computational basis,
 solved by one ``eigvalsh``, is what its pair-basis build and block solve
 replaced, and ``np.unique`` over the generator's columns the count of equal
-columns that a histogram of their integer values replaced.
+columns that a histogram of their integer values replaced.  The complex
+reveal-set operator stacked from the code states' ``Ket`` amplitudes is
+what the real one built from a batch of codewords replaced.
 """
 
 from __future__ import annotations
@@ -251,3 +253,11 @@ def unique_column_counts(generator: np.ndarray) -> np.ndarray:
     """Multiplicity of each distinct generator column, in lexicographic
     order of the columns read top to bottom."""
     return np.unique(np.asarray(generator).T, axis=0, return_counts=True)[1]
+
+
+def complex_q_operator(cb, s) -> np.ndarray:
+    """The reveal-set operator of a cheat set as a complex128 matrix:
+    ``rows.T @ rows.conj()`` over the stacked ``Ket`` amplitudes of its
+    code states."""
+    rows = np.stack([cb.state(i).amps for i in s.indices])
+    return rows.T @ rows.conj()

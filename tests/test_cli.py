@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qbsc import protocol2
 from qbsc.cli import main
 from qbsc.codebook import MAX_GENERATE_M, PRNG_ID
 
@@ -516,6 +517,21 @@ class TestCheatCommand:
         record = json.loads(t.read_text())
         assert record["strategy"]["kind"] == "top-eigenvector"
         assert record["strategy"]["achieved"] <= 1 + 2 * 0.375 + 1e-9
+
+    def test_protocol2_custom_cheat_builds_no_reveal_operator(
+        self, tmp_path, codebook_path, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("q_operator called on the custom-state path")
+
+        monkeypatch.setattr(protocol2, "q_operator", never)
+        t = tmp_path / "cheat2.json"
+        assert run("cheat", "--protocol", 2, "--codebook", codebook_path,
+                   "--cheat-set", "3,17,40", "--reveal", "000011",
+                   "--strategy", "custom", "--seed", 2, "--transcript", t) == 0
+        record = json.loads(t.read_text())
+        assert record["strategy"]["kind"] == "custom-state"
+        assert record["strategy"]["achieved"] is None
 
     @pytest.mark.parametrize("protocol", [1, 2])
     def test_verify_reproduces_cheat_record(self, tmp_path, codebook_path, protocol):

@@ -740,11 +740,13 @@ class TestNoPerMessageWork:
         verify_epsilon(Codebook.from_json(cb.to_json()))
         assert calls == ["codewords"] * 4
 
-    def test_cheat_set_gram(self, calls):
+    def test_cheat_set_gram(self, monkeypatch, calls):
+        # the distances are popcounts of the packed codewords, never unpacked
+        counting_method(monkeypatch, BinaryCode, "_packed_words", calls)
         cb = generate_certified_codebook(32, 0.5, 6, seed=1)
         calls.clear()
         protocol2.cheat_set_gram(cb, protocol2.cheat_set_for(cb, [3, 17, 40]))
-        assert calls == ["codewords"]
+        assert calls == ["_packed_words"]
 
 
 class TestEnumeratedOnce:

@@ -29,7 +29,7 @@ from qbsc.codebook import make_rng
 from qbsc.errors import NumericalError
 from qbsc.protocol2 import index_string, string_index
 
-from oracles import random_density_matrix, rayleigh_quotient_terms
+from oracles import complex_q_operator, random_density_matrix, rayleigh_quotient_terms
 
 ORTHOGONAL_2x4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
 
@@ -150,6 +150,18 @@ class TestQOperator:
     def test_trace_counts_states(self, pinned_codebook):
         q = q_operator(pinned_codebook, CheatSet(indices=(0, 9, 33)))
         assert np.trace(q.mat).real == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["pinned_codebook", "wide_codebook"])
+    def test_real_and_equal_to_complex_oracle(self, name, request):
+        cb = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        r_max = min(cb.size, math.ceil(1.0 / cb.epsilon_certified))
+        for r in (1, 2, r_max):
+            s = cheat_set_for(cb, rng.choice(cb.size, size=r, replace=False).tolist())
+            q = q_operator(cb, s)
+            assert q.mat.dtype == np.float64
+            assert q.mat.nbytes == 8 * cb.dim**2
+            assert np.abs(q.mat - complex_q_operator(cb, s)).max() <= 1e-15
 
     def test_all_epsilon_overlaps_gram_eigenvalue(self):
         # Gram (1-e)I + eJ has top eigenvalue 1 + (r-1)e
@@ -333,8 +345,7 @@ class TestSmallMatrixSpectra:
         cb = request.getfixturevalue(name)
         rng = np.random.default_rng(17)
         r_max = min(cb.size, math.ceil(1.0 / cb.epsilon_certified))
-        for _ in range(6 if cb.dim <= 64 else 2):
-            r = int(rng.integers(2, r_max + 1))
+        for r in range(1, r_max + 1):
             s = cheat_set_for(cb, rng.choice(cb.size, size=r, replace=False).tolist())
             gram = cheat_set_gram(cb, s)
             assert gram.shape == (r, r) and gram.dtype == float
