@@ -3,9 +3,10 @@ commitment protocols: qubit-per-bit commitments and codebook commitments
 over near-orthogonal state families, with every security bound checked
 against exact brute-force oracles at desk scale."""
 
+__version__ = "0.1.0"  # bound first: transcript reads it for its tool id
+
 from .adversary import (
     CheatStrategy,
-    brute_force_guess_all,
     guess_all_oracle,
     run_cheat_session,
     top_eigenvector_strategy,
@@ -70,5 +71,3 @@ from .protocol2 import (
     verify_unveil2,
 )
 from .transcript import Transcript
-
-__version__ = "0.1.0"

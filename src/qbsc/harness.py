@@ -24,8 +24,8 @@ from . import adversary, protocol1, protocol2
 from .codebook import Codebook, make_rng, verify_epsilon
 from .errors import InputError, PhaseOrderError
 from .linalg import DensityMatrix, Ket, von_neumann_entropy
-from .protocol1 import Commitment1, SecurityParams
-from .protocol2 import _BOUND_TOL, Commitment2
+from .protocol1 import _BOUND_TOL, Commitment1, SecurityParams
+from .protocol2 import Commitment2
 from .transcript import (
     REAL,
     TAG_VERIFY,
@@ -425,8 +425,9 @@ def bound_sweep(
     equality_configs = list(equality_configs)
     if not thetas or not ns or not rs:
         raise InputError("sweep grids must be non-empty")
-    if min(ns) < 1 or min(rs) < 1:
-        raise InputError("sweep needs every n >= 1 and every r >= 1")
+    r_max = protocol1.IDENTIFY_ALL_MAX_R
+    if min(ns) < 1 or not 1 <= min(rs) <= max(rs) <= r_max:
+        raise InputError(f"sweep needs every n >= 1 and every r in [1, {r_max}]")
     for _, epsilon in equality_configs:
         if not math.isfinite(epsilon):
             raise InputError(f"equality epsilon must be finite, got {epsilon!r}")

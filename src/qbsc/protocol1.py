@@ -15,6 +15,7 @@ a generator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ from .linalg import (
 )
 
 _IDENTITY_TOL = 1e-12
-_SPECTRAL_TOL = 1e-9
+_BOUND_TOL = 1e-9  # slack of every binding-cap comparison in the package
 BRUTE_FORCE_MAX_N = 12
+IDENTIFY_ALL_MAX_R = sys.float_info.max_exp - 1  # largest r with 2.0**r finite
 _HIDING_SCAN_MAX_N = 10**7  # smallest_hiding_n gives up beyond this n
 _ROOT_HALF = math.sqrt(0.5)
 # rows: |00>, (|01> + |10>)/sqrt 2, |11>, (|01> - |10>)/sqrt 2
@@ -183,7 +185,7 @@ def binding_bound1(theta: float) -> float:
             f"trig identity violated at theta={theta!r}: {value!r} vs {closed!r}"
         )
     lam = top_reveal_eigenvalue(theta)
-    if abs(value - lam) > _SPECTRAL_TOL:
+    if abs(value - lam) > _BOUND_TOL:
         raise NumericalError(
             f"spectral cross-check failed at theta={theta!r}: "
             f"{value!r} vs lambda_max {lam!r}"
@@ -296,8 +298,8 @@ def smallest_hiding_n(theta: float, r: int) -> int:
 
 def identify_all_bound_raw(n: int, theta: float, r: int) -> float:
     """Unclamped all-bits identification bound 2^r * h2((1+sin t)/2)^n."""
-    if n < 1 or r < 0:
-        raise InputError("need n >= 1 and r >= 0")
+    if n < 1 or not 0 <= r <= IDENTIFY_ALL_MAX_R:
+        raise InputError(f"need n >= 1 and 0 <= r <= {IDENTIFY_ALL_MAX_R}")
     h = binary_entropy((1.0 + math.sin(theta)) / 2.0)
     return 2.0**r * h**n
 

@@ -31,9 +31,7 @@ import numpy as np
 from .codebook import Codebook, _amplitudes, _column_values, capacity
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
-from .protocol1 import projection_probability
-
-_BOUND_TOL = 1e-9  # slack of every binding-cap comparison in the package
+from .protocol1 import _BOUND_TOL, projection_probability
 
 
 @dataclass(frozen=True)

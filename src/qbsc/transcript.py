@@ -18,13 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from .errors import InputError, PhaseOrderError
 from .linalg import DensityMatrix, Ket
 
 # the C routine json.dumps escapes a string with
 _encode_str = json.encoder.encode_basestring_ascii
 
-TOOL_ID = "qbsc 0.1.0"
+TOOL_ID = f"qbsc {__version__}"
 PHASES = ("committed", "unveiled", "verified")
 
 # spawn tags for per-session derived streams

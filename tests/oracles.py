@@ -15,11 +15,14 @@ solved by one ``eigvalsh``, is what its pair-basis build and block solve
 replaced, and ``np.unique`` over the generator's columns the count of equal
 columns that a histogram of their integer values replaced.  The complex
 reveal-set operator stacked from the code states' ``Ket`` amplitudes is
-what the real one built from a batch of codewords replaced.
+what the real one built from a batch of codewords replaced.  The explicit
+per-qubit Helstrom measurement, summed over every bit string, is what the
+closed form of ``guess_all_oracle`` must agree with.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import NamedTuple
 
@@ -27,11 +30,10 @@ import numpy as np
 
 from qbsc.errors import InputError, NumericalError
 from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh, projector
-from qbsc.protocol1 import encode_bit
+from qbsc.protocol1 import _BOUND_TOL, encode_bit
 from qbsc.transcript import format_float
 
 MAX_TENSOR_DIM = 2**22
-_BOUND_TOL = 1e-9
 
 
 def inner(u: Ket, v: Ket) -> complex:
@@ -261,3 +263,35 @@ def complex_q_operator(cb, s) -> np.ndarray:
     code states."""
     rows = np.stack([cb.state(i).amps for i in s.indices])
     return rows.T @ rows.conj()
+
+
+def helstrom_qubit_conditionals(theta: float) -> tuple[float, float]:
+    """Per-bit success probabilities of the optimal measurement, by value:
+    the projector onto the positive part of (|e0><e0| - |e1><e1|) / 2
+    guesses 0, its complement guesses 1."""
+    psi0 = encode_bit(0, theta)
+    psi1 = encode_bit(1, theta)
+    gamma = HermitianOp(0.5 * (projector(psi0).mat - projector(psi1).mat))
+    # projectors onto eigenvectors do not depend on their phases
+    eigenvalues, eigenvectors = _eigh(gamma.mat)
+    guess0 = np.zeros((2, 2), dtype=complex)
+    for lam, vec in zip(eigenvalues, eigenvectors.T):
+        if lam > 0.0:
+            guess0 += projector(Ket(vec)).mat
+    guess1 = np.eye(2) - guess0
+    c0 = float(np.vdot(psi0.amps, guess0 @ psi0.amps).real)
+    c1 = float(np.vdot(psi1.amps, guess1 @ psi1.amps).real)
+    return c0, c1
+
+
+def enumerated_guess_all(n: int, theta: float) -> float:
+    """All-bits success probability of the per-qubit measurement, summed
+    over all 2^n equiprobable strings."""
+    c0, c1 = helstrom_qubit_conditionals(theta)
+    total = 0.0
+    for string in itertools.product((0, 1), repeat=n):
+        joint = 1.0
+        for bit in string:
+            joint *= c0 if bit == 0 else c1
+        total += joint
+    return total / 2**n

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qbsc import (
     Ket,
     SecurityParams,
     binding_bound1,
-    brute_force_guess_all,
     encode_bit,
     equality_configuration,
     generate_certified_codebook,
@@ -19,10 +19,16 @@ from qbsc import (
     run_cheat_session,
     top_eigenvector_strategy,
 )
+from qbsc import linalg
 from qbsc.linalg import HermitianOp
 from qbsc.protocol2 import index_string
 
-from oracles import eig_hermitian, helstrom_two_state, random_ket
+from oracles import (
+    eig_hermitian,
+    enumerated_guess_all,
+    helstrom_two_state,
+    random_ket,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +126,12 @@ class TestGuessAll:
             )
 
     def test_single_bit_equals_helstrom(self):
-        theta = 0.2
-        single = guess_all_oracle(1, theta)
-        assert single == pytest.approx(
-            helstrom_two_state(encode_bit(0, theta), encode_bit(1, theta)),
-            abs=1e-12,
-        )
-        assert single == pytest.approx(0.9900332889206208, abs=1e-12)
+        for theta in (0.05, 0.2, 0.7, 1.2, 1.5):
+            assert guess_all_oracle(1, theta) == pytest.approx(
+                helstrom_two_state(encode_bit(0, theta), encode_bit(1, theta)),
+                abs=1e-12,
+            )
+        assert guess_all_oracle(1, 0.2) == pytest.approx(0.9900332889206208, abs=1e-12)
 
     def test_hundred_bits(self):
         value = guess_all_oracle(100, 0.2)
@@ -136,13 +141,24 @@ class TestGuessAll:
     def test_brute_force_enumeration_agrees(self):
         for n in (1, 2, 3, 4):
             for theta in (0.1, 0.4, 1.0):
-                brute = brute_force_guess_all(n, theta)
-                closed = ((1 + math.cos(theta)) / 2) ** n
-                assert abs(brute - closed) <= 1e-12
+                brute = enumerated_guess_all(n, theta)
+                assert abs(brute - guess_all_oracle(n, theta)) <= 1e-12
+                assert abs(brute - ((1 + math.cos(theta)) / 2) ** n) <= 1e-12
 
-    def test_brute_force_range_guard(self):
-        with pytest.raises(InputError):
-            brute_force_guess_all(5, 0.2)
+    def test_closed_form_builds_no_measurement(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the closed form builds no operator")
+
+        # every qbsc module that holds its own reference to either function
+        for name in ("_eigh", "projector"):
+            original = getattr(linalg, name)
+            for module_name, module in list(sys.modules.items()):
+                held = getattr(module, name, None)
+                if module_name.startswith("qbsc") and held is original:
+                    monkeypatch.setattr(module, name, never)
+        for n in (1, 2, 3, 4):
+            for theta in (0.1, 0.4, 1.0):
+                assert guess_all_oracle(n, theta) == ((1 + math.cos(theta)) / 2) ** n
 
     def test_below_threshold_implies_informative_bound(self):
         # one-way consistency: whenever the exact oracle sits below 2^-r,

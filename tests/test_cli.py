@@ -492,6 +492,31 @@ class TestBoundsCommand:
                    "--out", out) == 2
         assert not list(tmp_path.glob("report*"))
 
+    @pytest.mark.parametrize("r", ["1024", "2,5000"])
+    def test_r_beyond_float_range_rejected_before_any_row(
+        self, tmp_path, monkeypatch, capsys, r
+    ):
+        from qbsc import harness
+
+        def never(*args):
+            raise AssertionError("row computed before the flags were checked")
+
+        monkeypatch.setattr(harness, "_protocol1_row", never)
+        out = tmp_path / "report"
+        assert run("bounds", "--theta", "0.2", "--n", "2", "--r", r,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "1023" in err
+        assert not list(tmp_path.glob("report*"))
+
+    def test_largest_r_still_sweeps(self, tmp_path):
+        out = tmp_path / "report"
+        assert run("bounds", "--theta", "0.2", "--n", "2", "--r", "1023",
+                   "--out", out) == 0
+        (row,) = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert row["delta_vacuous"] is True
+
     def test_empty_grid_rejected(self, tmp_path):
         assert run("bounds", "--theta", "abc", "--n", "2", "--r", "1",
                    "--out", tmp_path / "r") == 2

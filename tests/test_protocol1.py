@@ -356,3 +356,8 @@ class TestIdentifyAllBound:
         raw = identify_all_bound_raw(100, 0.2, 10)
         assert raw > 1.0
         assert identify_all_bound(100, 0.2, 10) == 1.0
+
+    def test_r_limit_is_the_largest_finite_power_of_two(self):
+        assert identify_all_bound_raw(2, 0.2, 1023) > 1.0
+        with pytest.raises(InputError, match="1023"):
+            identify_all_bound_raw(2, 0.2, 1024)

@@ -2,6 +2,7 @@ import collections
 import enum
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from qbsc import DensityMatrix, InputError, Ket, PhaseOrderError, Transcript
 from qbsc.harness import commit_session, unveil_session, verify_session
 from qbsc.transcript import (
+    TOOL_ID,
     amplitude_pairs,
     canonical_json,
     commitment_hash,
@@ -136,6 +138,16 @@ class TestSaltAndHash:
     def test_hash_binds_string(self):
         salt = derive_salt(7)
         assert commitment_hash(salt, "1010") != commitment_hash(salt, "1011")
+
+
+def test_tool_id_carries_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    import qbsc
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text())["project"]["version"]
+    assert qbsc.__version__ == version
+    assert TOOL_ID == f"qbsc {version}"
 
 
 class TestTranscriptLifecycle:
