@@ -50,7 +50,8 @@ def top_eigenvector_strategy(
     repeated runs are byte-for-byte reproducible; it achieves the top
     eigenvalue, which must not exceed ``bound`` when one is given."""
     eigenvalues, eigenvectors = _eigh(op.mat)
-    state = Ket(_fix_phase(eigenvectors[:, -1]))
+    # complex first: the pinned transcripts hold a complex pivot's conj / abs
+    state = Ket(_fix_phase(eigenvectors[:, -1].astype(complex)))
     achieved = float(eigenvalues[-1])
     if bound is not None and achieved > bound + _BOUND_TOL:
         raise NumericalError(
@@ -92,8 +93,6 @@ def run_cheat_session(
     if protocol == 1:
         if params is None:
             raise InputError("protocol 1 cheat sessions need SecurityParams")
-        if strategy.state.dim != 2:
-            raise InputError("protocol 1 strategies send one qubit per bit")
         sent = (strategy.state,) * params.n
     elif protocol == 2:
         if codebook is None:

@@ -119,42 +119,44 @@ def _cmd_bounds(args) -> int:
     return 0 if summary["sound_pass"] else 5
 
 
-def _cmd_codebook(args) -> int:
-    if args.codebook_action == "gen":
-        cb = codebook.generate_certified_codebook(
-            n=args.n, epsilon_target=args.epsilon, k=args.k, seed=args.seed
-        )
-        Path(args.out).write_text(cb.to_json())
-        print(
-            f"certified codebook: n={cb.dim} k={cb.code.k} "
-            f"epsilon={format_float(cb.epsilon_certified)} "
-            f"attempts={cb.attempts} -> {args.out}"
-        )
-        return 0
+def _cmd_codebook_gen(args) -> int:
+    cb = codebook.generate_certified_codebook(
+        n=args.n, epsilon_target=args.epsilon, k=args.k, seed=args.seed
+    )
+    Path(args.out).write_text(cb.to_json())
+    print(
+        f"certified codebook: n={cb.dim} k={cb.code.k} "
+        f"epsilon={format_float(cb.epsilon_certified)} "
+        f"attempts={cb.attempts} -> {args.out}"
+    )
+    return 0
+
+
+def _cmd_codebook_info(args) -> int:
     cb = _load_codebook(args.codebook)
-    if args.codebook_action == "info":
-        print(f"dim (n): {cb.dim}")
-        print(f"capacity (k): {codebook.capacity(cb)}")
-        print(f"epsilon_certified: {format_float(cb.epsilon_certified)}")
-        print(f"seed: {cb.seed}")
-        print(f"attempts: {cb.attempts}")
-        print(f"prng: {codebook.PRNG_ID}")
-        print(f"content_id: {cb.content_id()}")
-        return 0
-    if args.codebook_action == "verify":
-        # loading already matched the certificate to the weight enumeration;
-        # this adds the cross-check of directly computed pair overlaps
-        epsilon = codebook.verify_epsilon(cb)
-        expected = codebook.generate_code(
-            cb.code.k, cb.code.m, codebook.derive_seed(cb.seed, cb.attempts - 1)
+    print(f"dim (n): {cb.dim}")
+    print(f"capacity (k): {codebook.capacity(cb)}")
+    print(f"epsilon_certified: {format_float(cb.epsilon_certified)}")
+    print(f"seed: {cb.seed}")
+    print(f"attempts: {cb.attempts}")
+    print(f"prng: {codebook.PRNG_ID}")
+    print(f"content_id: {cb.content_id()}")
+    return 0
+
+
+def _cmd_codebook_verify(args) -> int:
+    # loading checked the weight enumeration; this adds the direct pair overlaps
+    cb = _load_codebook(args.codebook)
+    epsilon = codebook.verify_epsilon(cb)
+    expected = codebook.generate_code(
+        cb.code.k, cb.code.m, codebook.derive_seed(cb.seed, cb.attempts - 1)
+    )
+    if (expected.generator != cb.code.generator).any():
+        raise CertificationError(
+            "generator does not match regeneration from the recorded seed"
         )
-        if (expected.generator != cb.code.generator).any():
-            raise CertificationError(
-                "generator does not match regeneration from the recorded seed"
-            )
-        print(f"certified: epsilon = {format_float(epsilon)}")
-        return 0
-    raise ProtocolError(f"unknown codebook action {args.codebook_action!r}")
+    print(f"certified: epsilon = {format_float(epsilon)}")
+    return 0
 
 
 def _cmd_cheat(args) -> int:
@@ -247,20 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("codebook", help="generate, verify or describe codebooks")
-    csub = p.add_subparsers(dest="codebook_action", required=True)
+    csub = p.add_subparsers(required=True)
     g = csub.add_parser("gen", help="generate a certified codebook")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--epsilon", type=float, required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=_cmd_codebook)
+    g.set_defaults(func=_cmd_codebook_gen)
     v = csub.add_parser("verify", help="re-certify a stored codebook")
     v.add_argument("--codebook", required=True)
-    v.set_defaults(func=_cmd_codebook)
+    v.set_defaults(func=_cmd_codebook_verify)
     i = csub.add_parser("info", help="print codebook parameters")
     i.add_argument("--codebook", required=True)
-    i.set_defaults(func=_cmd_codebook)
+    i.set_defaults(func=_cmd_codebook_info)
 
     p = sub.add_parser("cheat", help="run an adversarial session")
     p.add_argument("--protocol", type=int, choices=(1, 2), default=1)

@@ -1,10 +1,12 @@
 """Reproducible experiment driver: sessions and bound-sweep reports.
 
-Sessions move a transcript through commit, unveil and verify.  This module
-owns the commit message format: :func:`committed_transcript` serialises what
-a committer sends, honest or cheating, and :func:`verify_session` measures
-the commitment rebuilt from that serialised message, so every verdict is
-taken on what the transcript records.
+Sessions move a transcript through commit, unveil and verify, and each
+phase decides the protocol once.  This module owns the commit message
+format: :func:`committed_transcript` serialises what a committer sends,
+honest or cheating, and :func:`_reconstruct_commitment` reads it back with
+the protocol's verifier, so :func:`verify_session` measures the commitment
+rebuilt from that serialised message and every verdict is taken on what the
+transcript records.
 
 Reports sweep a parameter grid and put the analytic cap next to an exact
 oracle on every row.  One column pair is informational rather than gated:
@@ -67,6 +69,11 @@ def committed_transcript(
         digest = commitment_hash(salt, bits)
     if protocol == 1:
         record = {"theta": params.theta, "n": params.n, "r": params.r}
+        pure = all(isinstance(q, Ket) for q in sent)
+        message = {
+            "kind": "qubit_amplitudes" if pure else "qubit_density_matrices",
+            "qubits": [amplitude_pairs(q) if pure else matrix_pairs(q) for q in sent],
+        }
     else:
         record = {
             "epsilon": codebook.epsilon_certified,
@@ -74,16 +81,18 @@ def committed_transcript(
             "capacity": protocol2.capacity(codebook),
             "codebook_id": codebook.content_id(),
         }
+        if isinstance(sent, int):
+            message = {"kind": "codebook_index", "index": sent}
+        elif isinstance(sent, DensityMatrix):
+            message = {"kind": "state_density_matrix", "entries": matrix_pairs(sent)}
+        else:
+            message = {"kind": "state_amplitudes", "amplitudes": amplitude_pairs(sent)}
     return Transcript(
         protocol=protocol,
         phase="committed",
         params=record,
         seeds={"session": int(seed)},
-        commit={
-            "message": _encode_message(protocol, sent),
-            "string_sha256": digest,
-            "salt": salt,
-        },
+        commit={"message": message, "string_sha256": digest, "salt": salt},
         strategy=strategy,
     )
 
@@ -122,26 +131,6 @@ def unveil_session(transcript: Transcript, claimed: str) -> Transcript:
     return transcript.with_unveil(claimed)
 
 
-def _encode_message(protocol: int, sent) -> dict:
-    """The serialised commit message, read back by
-    :func:`_reconstruct_commitment`."""
-    if protocol == 1:
-        if all(isinstance(q, Ket) for q in sent):
-            return {
-                "kind": "qubit_amplitudes",
-                "qubits": [amplitude_pairs(q) for q in sent],
-            }
-        return {
-            "kind": "qubit_density_matrices",
-            "qubits": [matrix_pairs(q) for q in sent],
-        }
-    if isinstance(sent, int):
-        return {"kind": "codebook_index", "index": sent}
-    if isinstance(sent, DensityMatrix):
-        return {"kind": "state_density_matrix", "entries": matrix_pairs(sent)}
-    return {"kind": "state_amplitudes", "amplitudes": amplitude_pairs(sent)}
-
-
 def _protocol_params(transcript: Transcript):
     """The :class:`SecurityParams` of a protocol-1 transcript, or the
     ``codebook_id`` of a protocol-2 one.
@@ -158,11 +147,9 @@ def _protocol_params(transcript: Transcript):
     return field(transcript.params, "codebook_id", str, "params")
 
 
-def _reconstruct_commitment(
-    transcript: Transcript, codebook: Codebook | None
-):
-    """The commitment a transcript's message describes, with every field
-    read strictly (see :func:`_protocol_params`)."""
+def _reconstruct_commitment(transcript: Transcript, codebook: Codebook | None):
+    """The commitment a transcript's message describes and its protocol's
+    verifier, every field read strictly (see :func:`_protocol_params`)."""
     message = transcript.commit.get("message")
     if not isinstance(message, dict):
         raise InputError("commit.message must be an object")
@@ -176,7 +163,8 @@ def _reconstruct_commitment(
         else:
             raise InputError(f"unknown protocol 1 message kind {kind!r}")
         qubits = field(message, "qubits", list, "commit.message")
-        return Commitment1(qubits=tuple(parse(q) for q in qubits), params=params)
+        commitment = Commitment1(qubits=tuple(parse(q) for q in qubits), params=params)
+        return commitment, protocol1.verify_unveil
     if codebook is None:
         raise InputError("verifying a protocol 2 transcript needs the codebook")
     if codebook.content_id() != _protocol_params(transcript):
@@ -191,7 +179,7 @@ def _reconstruct_commitment(
         state = matrix_from_pairs(field(message, "entries", list, "commit.message"))
     else:
         raise InputError(f"unknown protocol 2 message kind {kind!r}")
-    return Commitment2(state=state, codebook=codebook)
+    return Commitment2(state=state, codebook=codebook), protocol2.verify_unveil2
 
 
 def verify_session(
@@ -211,14 +199,10 @@ def verify_session(
         raise PhaseOrderError(
             f"verify requires phase 'unveiled', transcript is '{transcript.phase}'"
         )
-    commitment = _reconstruct_commitment(transcript, codebook)
+    commitment, verify = _reconstruct_commitment(transcript, codebook)
     rng = None
     if mode == "sampled":
         rng = make_rng(field(transcript.seeds, "session", int, "seeds"), TAG_VERIFY)
-    if transcript.protocol == 1:
-        verify = protocol1.verify_unveil
-    else:
-        verify = protocol2.verify_unveil2
     exact, verdict = verify(commitment, transcript.unveil["claimed"], rng)
     return transcript.with_verification(
         {"mode": mode, "accept_probability": float(exact), "verdict": verdict}
@@ -321,12 +305,8 @@ def _protocol1_row(
         "helstrom_per_bit": (1.0 + math.cos(theta)) / 2.0,
         "delta_covers_exact": guess_all <= delta + SOUND_TOL,
     }
-    sound = max(
-        row["binding_identity_gap"],
-        row["binding_spectral_gap"],
-        max(0.0, lam - rhs),
-        0.0 if brute is None else row["holevo_gap"],
-    )
+    gaps = (row["binding_identity_gap"], row["binding_spectral_gap"], row["holevo_gap"])
+    sound = max(gap for gap in gaps if gap is not None)
     row["pass"] = sound <= SOUND_TOL
     row["_sound_violation"] = sound
     return row

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,7 +146,7 @@ def field(record: dict, key: str, kind, where: str):
     """``record[key]``, which must be present and an instance of ``kind``.
 
     Booleans count as neither integers nor real numbers, so a JSON ``true``
-    is never read as 1.
+    is never read as 1, and a real number must be one a float can hold.
     """
     if key not in record:
         raise InputError(f"{where}.{key} is missing")
@@ -153,6 +154,8 @@ def field(record: dict, key: str, kind, where: str):
     if isinstance(value, bool) or not isinstance(value, kind):
         shown = value if isinstance(value, (bool, int, float)) else type(value).__name__
         raise InputError(f"{where}.{key} must be {_EXPECTED[kind]}, got {shown!r}")
+    if kind is REAL and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise InputError(f"{where}.{key} is an integer beyond the float range")
     return value
 
 

@@ -238,8 +238,9 @@ class TestCheatSessions:
         with pytest.raises(InputError):
             CheatStrategy(kind="blended", state=encode_bit(0, 0.1))
 
-    def test_dimension_checked(self, pinned_codebook):
+    def test_dimension_checked(self):
+        # the protocol-1 commitment rebuilt from the message refuses it
         params = SecurityParams(theta=0.2, n=2)
-        strategy = CheatStrategy(kind="custom-state", state=pinned_codebook.state(0))
-        with pytest.raises(InputError):
+        strategy = CheatStrategy(kind="custom-state", state=Ket(np.full(4, 0.5)))
+        with pytest.raises(InputError, match="2-dimensional"):
             run_cheat_session(1, strategy, "00", seed=1, params=params)

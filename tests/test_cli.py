@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbsc import protocol2
 from qbsc.cli import main
@@ -169,11 +172,13 @@ class TestSessionFlow:
             (1, ("params", "theta"), MISSING),
             (1, ("params", "r"), None),
             (1, ("params",), []),
+            (1, ("params", "theta"), 10**400),
         ],
         ids=[
             "index-1.5", "index-true", "n-4.7", "r-1.9", "theta-true",
             "index-null", "index-missing", "codebook_id-missing",
             "amplitudes-missing", "theta-missing", "r-null", "params-list",
+            "theta-huge-int",
         ],
     )
     def test_mistyped_or_missing_field_input_error(
@@ -210,8 +215,9 @@ class TestSessionFlow:
             (1, "n", 4.7),
             (1, "r", None),
             (2, "codebook_id", MISSING),
+            (1, "theta", -(10**400)),
         ],
-        ids=["theta-abc", "n-4.7", "r-null", "codebook_id-missing"],
+        ids=["theta-abc", "n-4.7", "r-null", "codebook_id-missing", "theta-huge-int"],
     )
     def test_unveil_reads_params_strictly(
         self, tmp_path, codebook_path, capsys, protocol, key, value
@@ -338,10 +344,11 @@ class TestCodebookCommands:
             ("generator", "00"),
             ("prng_id", 7),
             ("prng_id", "mt19937"),
+            ("epsilon_certified", 10**400),
         ],
         ids=["epsilon-string", "attempts-float", "seed-float", "version-true",
              "dim-999", "k-missing", "generator-string", "prng_id-int",
-             "prng_id-unknown"],
+             "prng_id-unknown", "epsilon-huge-int"],
     )
     @pytest.mark.parametrize("action", ["verify", "info"])
     def test_mistyped_or_unknown_field_input_error(
@@ -588,3 +595,121 @@ class TestCheatCommand:
                    "--reveal", "000011", "--transcript", t) == 2
         assert "--cheat-set" in capsys.readouterr().err
         assert not t.exists()
+
+
+HUGE = 10**400
+RETYPED = ("x", True, False, [], None, HUGE, -HUGE, math.nan, math.inf, -math.inf)
+EXIT_CODES = {0, 2, 3, 4, 5}
+BITS = {"p1": "10", "p2": "101101"}
+
+
+def _paths(node, prefix=()):
+    """Every path below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, data):
+    """A copy of ``doc`` with one drawn mutation."""
+    doc = copy.deepcopy(doc)
+    kind = data.draw(
+        st.sampled_from(("drop", "retype", "phase", "index", "matrix", "upper"))
+    )
+    if kind == "phase":
+        doc["phase"] = data.draw(
+            st.sampled_from(("committed", "unveiled", "verified", "", "UNVEILED"))
+        )
+        return doc
+    if kind == "index":
+        if "commit" in doc:
+            parent, key = doc["commit"]["message"], "index"
+        else:
+            parent = doc
+            key = data.draw(st.sampled_from(("attempts", "seed", "k", "m", "dim")))
+        parent[key] = data.draw(st.sampled_from((-1, 0, 64, 2**63, HUGE)))
+        return doc
+    # a protocol-2 transcript holds no list: its matrices replace a scalar
+    wanted = {"matrix": list, "upper": str}.get(kind, object)
+    paths = [p for p in _paths(doc) if isinstance(_at(doc, p), wanted)]
+    path = data.draw(st.sampled_from(paths or list(_paths(doc))))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    value = parent[key]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = data.draw(st.sampled_from(RETYPED))
+    elif kind == "upper":
+        parent[key] = value.upper()
+    else:
+        variants = [[], [[]]]
+        if isinstance(value, list):
+            variants.append(value[:-1])
+            if value and isinstance(value[0], (list, str)):
+                variants.append([value[0][:-1]] + value[1:])  # ragged
+        parent[key] = data.draw(st.sampled_from(variants))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def boundary_files(tmp_path_factory):
+    """Valid committed and unveiled transcripts of both protocols and the
+    pinned codebook, as parsed JSON, next to the codebook's file."""
+    root = tmp_path_factory.mktemp("boundary")
+    cb = root / "codebook.json"
+    run("codebook", "gen", "--n", 32, "--k", 6, "--epsilon", 0.5, "--seed", 1,
+        "--out", cb)
+    docs = {"codebook": json.loads(cb.read_text())}
+    for name, extra in (("p1", ("--theta", 0.2)), ("p2", ("--codebook", cb))):
+        t = root / "session.json"
+        run("commit", "--protocol", name[1], "--bits", BITS[name], "--seed", 4,
+            "--transcript", t, *extra)
+        docs[f"{name}-committed"] = json.loads(t.read_text())
+        run("unveil", "--transcript", t, "--bits", BITS[name])
+        docs[f"{name}-unveiled"] = json.loads(t.read_text())
+    return root, cb, docs
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(("p1", "p2", "codebook")), st.booleans(), st.data())
+    def test_mutated_files_map_to_exit_codes(
+        self, boundary_files, target, unveiled, data
+    ):
+        root, cb, docs = boundary_files
+        bad, p2 = root / "mutated.json", root / "p2-unveiled.json"
+        if target == "codebook":
+            doc = docs["codebook"]
+            calls = [
+                ("codebook", "verify", "--codebook", bad),
+                ("codebook", "info", "--codebook", bad),
+                ("verify", "--transcript", p2, "--codebook", bad),
+            ]
+        elif not unveiled:
+            doc = docs[f"{target}-committed"]
+            calls = [("unveil", "--transcript", bad, "--bits", BITS[target])]
+        else:
+            doc = docs[f"{target}-unveiled"]
+            cb_args = ("--codebook", cb) if target == "p2" else ()
+            calls = [
+                ("verify", "--transcript", bad, "--mode", mode, *cb_args)
+                for mode in ("exact", "sampled")
+            ]
+        text = json.dumps(_mutate(doc, data))
+        for argv in calls:
+            # the session commands write their transcript back
+            bad.write_text(text)
+            p2.write_text(json.dumps(docs["p2-unveiled"]))
+            assert run(*argv) in EXIT_CODES

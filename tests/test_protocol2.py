@@ -276,12 +276,26 @@ class TestEqualityConfiguration:
             assert np.max(np.abs(off - eps * (np.ones((r, r)) - np.eye(r)))) <= 1e-12
 
     def test_cap_achieved_across_feasible_range(self):
+        # r = 1 at both ends of the overlap range, then each r at 0.9 of its
+        # limit and at the edge of feasibility, (r - 1) * eps = 1 - 1e-9
+        cases = [(1, 0.0), (1, 1.0)]
         for r in (2, 3, 8, 16, 64):
-            eps = 0.9 / (r - 1)
+            cases += [(r, 0.9 / (r - 1)), (r, (1 - 1e-9) / (r - 1))]
+        for r, eps in cases:
             kets = equality_configuration(r, eps)
             rows = np.stack([k.amps for k in kets])
             lam = np.linalg.eigvalsh(rows.T @ rows.conj())[-1]
             assert lam == pytest.approx(1 + (r - 1) * eps, abs=1e-9)
+
+    def test_makes_no_eigensolve(self, monkeypatch):
+        # the cap is checked where it is reported, not on construction
+        def never(*args, **kwargs):
+            raise AssertionError("equality_configuration solved a spectrum")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, never)
+        for r, eps in ((1, 0.5), (3, 0.1), (64, 0.9 / 63)):
+            assert len(equality_configuration(r, eps)) == r
 
     def test_infeasible_rejected(self):
         with pytest.raises(InputError):
