@@ -145,7 +145,8 @@ def _cmd_codebook_info(args) -> int:
 
 
 def _cmd_codebook_verify(args) -> int:
-    # loading checked the weight enumeration; this adds the direct pair overlaps
+    # loading enumerated the weights and cross-checked the pairs; this adds
+    # the regeneration of the generator from the recorded seed
     cb = _load_codebook(args.codebook)
     epsilon = codebook.verify_epsilon(cb)
     expected = codebook.generate_code(

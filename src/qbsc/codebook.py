@@ -13,9 +13,10 @@ whatever the length.  The certificate reads only the smallest and the
 largest weight: ``|1 - 2 w / m|`` falls on ``w <= m/2`` and rises on
 ``w >= m/2``, float rounding included, so the two extremes give the maximum
 to the bit.  It is cached on the immutable code, so each code is enumerated
-once however many times it is certified; a loaded codebook is enumerated on
-load and its verification adds only the cross-check against directly
-computed inner products of 100 seeded pairs.  The pairs are drawn in one
+once however many times it is certified.  Every codebook the package builds
+(generated, fingerprinted or loaded) is cross-checked once, as it is built,
+against directly computed inner products of 100 seeded pairs; verifying a
+loaded codebook reads the cached certificate.  The pairs are drawn in one
 call, each side's codewords come from one batched call, and each amplitude
 is written as the sign bit of ``1/sqrt(m)``.  A batch of codewords comes
 from the generator rows held as ``m``-bit integers: each message XORs the
@@ -322,7 +323,9 @@ class Codebook:
         scheme this package draws with; ``m`` above ``MAX_GENERATE_M`` is
         refused before any array is built.  States are re-derived from the
         generator; the maximum overlap is recomputed from the codeword
-        weights and must match the stored certificate exactly.
+        weights and must match the stored certificate exactly
+        (:class:`CertificationError`), and then the seeded pairs are
+        cross-checked (:class:`NumericalError`).
         """
         try:
             payload = json.loads(text)
@@ -366,6 +369,7 @@ class Codebook:
                 f"recomputed overlap {recomputed!r}",
                 best_epsilon=recomputed,
             )
+        _crosscheck_pairs(cb)
         return cb
 
     def content_id(self) -> str:
@@ -398,14 +402,11 @@ def fingerprint_states(code: BinaryCode, seed: int) -> Codebook:
 def verify_epsilon(cb: Codebook) -> float:
     """Exhaustively certified maximum pairwise overlap.
 
-    Uses the weight enumeration (the pairwise overlap of a linear-code
-    family is determined by nonzero codeword weights) and cross-checks at
-    least 100 randomly chosen pairs against directly computed inner
-    products.
+    The weight enumeration cached on the code (the pairwise overlap of a
+    linear-code family is determined by nonzero codeword weights); the
+    seeded pairs were cross-checked when the codebook was built or loaded.
     """
-    epsilon = cb.code._epsilon
-    _crosscheck_pairs(cb)
-    return epsilon
+    return cb.code._epsilon
 
 
 def _crosscheck_pairs(cb: Codebook) -> None:

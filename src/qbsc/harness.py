@@ -437,7 +437,7 @@ def bound_sweep(
     summary = {
         "rows": len(rows),
         "max_sound_violation": max_violation,
-        "sound_pass": max_violation <= SOUND_TOL,
+        "sound_pass": all(row["pass"] for row in rows),
         "delta_uncovered_rows": uncovered,
     }
     return BoundReport(rows=tuple(rows), summary=summary)

@@ -1,11 +1,15 @@
+import contextlib
 import copy
+import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbsc import codebook as codebook_module
 from qbsc import protocol2
 from qbsc.cli import main
 from qbsc.codebook import MAX_GENERATE_M, PRNG_ID
@@ -401,6 +405,36 @@ class TestCodebookCommands:
         assert run("codebook", "gen", "--n", 4, "--k", 3, "--epsilon", 0.01,
                    "--seed", 2, "--out", out) == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("codebook", "info"),
+            ("commit", "--protocol", 2, "--bits", "101101", "--transcript", "s.json"),
+        ],
+        ids=["info", "commit"],
+    )
+    def test_failed_pair_check_on_load_numerical_error(
+        self, tmp_path, codebook_path, capsys, monkeypatch, argv
+    ):
+        original = codebook_module._amplitudes
+
+        sides = []
+
+        def flip_first_sign_of_i_side(words):
+            amps = original(words)
+            if not sides:
+                amps[0, 0] = -amps[0, 0]
+            sides.append(words)
+            return amps
+
+        monkeypatch.setattr(codebook_module, "_amplitudes", flip_first_sign_of_i_side)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--codebook", codebook_path) == 5
+        captured = capsys.readouterr()
+        assert re.match(r"error: overlap identity violated for pair \(\d+, \d+\)",
+                        captured.err)
+        assert captured.out == "" and not (tmp_path / "s.json").exists()
+
 
 class TestBoundsCommand:
     def test_writes_json_and_csv(self, tmp_path, capsys):
@@ -690,12 +724,19 @@ class TestBoundaryFuzz:
     ):
         root, cb, docs = boundary_files
         bad, p2 = root / "mutated.json", root / "p2-unveiled.json"
+        out = root / "out.json"
         if target == "codebook":
             doc = docs["codebook"]
             calls = [
                 ("codebook", "verify", "--codebook", bad),
                 ("codebook", "info", "--codebook", bad),
                 ("verify", "--transcript", p2, "--codebook", bad),
+                ("commit", "--protocol", 2, "--bits", BITS["p2"], "--codebook", bad,
+                 "--transcript", out),
+                ("bounds", "--theta", 0.2, "--n", 2, "--r", 1, "--codebook", bad,
+                 "--cheat-samples", 2, "--format", "json", "--out", out),
+                ("cheat", "--protocol", 2, "--codebook", bad, "--cheat-set", "3,17",
+                 "--reveal", "000011", "--transcript", out),
             ]
         elif not unveiled:
             doc = docs[f"{target}-committed"]
@@ -712,4 +753,8 @@ class TestBoundaryFuzz:
             # the session commands write their transcript back
             bad.write_text(text)
             p2.write_text(json.dumps(docs["p2-unveiled"]))
-            assert run(*argv) in EXIT_CODES
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(*argv)
+            assert code in EXIT_CODES
+            assert code == 0 or err.getvalue().startswith("error:")

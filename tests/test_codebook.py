@@ -799,6 +799,66 @@ class TestEnumeratedOnce:
         assert verify_epsilon(cb) == 0.375
 
 
+class TestCrosscheckedOnce:
+    """Each codebook's pairs are cross-checked once, as it is built or
+    loaded; verifying and auditing it repeat no pair."""
+
+    @pytest.fixture()
+    def crosschecks(self, monkeypatch):
+        calls = []
+        original = codebook_module._crosscheck_pairs
+        monkeypatch.setattr(
+            codebook_module, "_crosscheck_pairs", lambda cb: calls.append(cb) or original(cb)
+        )
+        return calls
+
+    @pytest.mark.parametrize("n, eps, k, seed", [(32, 0.5, 6, 1), (64, 0.25, 6, 3)])
+    def test_generate(self, crosschecks, n, eps, k, seed):
+        cb = generate_certified_codebook(n, eps, k, seed)
+        assert crosschecks == [cb]
+
+    def test_fingerprint_states(self, crosschecks):
+        cb = fingerprint_states(generate_code(7, 40, 12), 12)
+        assert crosschecks == [cb]
+
+    def test_load(self, crosschecks):
+        text = generate_certified_codebook(64, 0.25, 6, seed=3).to_json()
+        crosschecks.clear()
+        loaded = Codebook.from_json(text)
+        assert crosschecks == [loaded]
+
+    def test_verify_and_audit_repeat_none(self, crosschecks):
+        cb = generate_certified_codebook(32, 0.5, 6, seed=1)
+        loaded = Codebook.from_json(cb.to_json())
+        crosschecks.clear()
+        assert verify_epsilon(loaded) == 0.375
+        report = harness.bound_sweep([0.2], [2], [1], codebook=loaded, cheat_samples=3)
+        assert report.rows[-1]["pass"] is True
+        assert crosschecks == []
+
+    def test_failed_pair_check_refuses_the_load(self, monkeypatch):
+        text = generate_certified_codebook(32, 0.5, 6, seed=1).to_json()
+        original = codebook_module._amplitudes
+
+        sides = []
+
+        def flip_first_sign_of_i_side(words):
+            amps = original(words)
+            if not sides:
+                amps[0, 0] = -amps[0, 0]
+            sides.append(words)
+            return amps
+
+        monkeypatch.setattr(codebook_module, "_amplitudes", flip_first_sign_of_i_side)
+        with pytest.raises(NumericalError, match=r"identity violated for pair"):
+            Codebook.from_json(text)
+        # a wrong certificate is refused before any pair is checked
+        payload = json.loads(text)
+        payload["epsilon_certified"] = 0.5
+        with pytest.raises(CertificationError):
+            Codebook.from_json(json.dumps(payload))
+
+
 class TestRankedOnce:
     """Each drawn generator is ranked once, by the ``BinaryCode`` it becomes."""
 

@@ -6,7 +6,7 @@ import pytest
 
 from qbsc import InputError, protocol1, uniform_commitment_state, von_neumann_entropy
 from qbsc import adversary, harness, protocol2
-from qbsc.codebook import generate_certified_codebook
+from qbsc.codebook import Codebook, generate_certified_codebook
 from qbsc.harness import bound_sweep, commit_session, unveil_session, verify_session
 from qbsc.linalg import DensityMatrix
 
@@ -56,6 +56,30 @@ class TestProtocol1Sweep:
             )
         assert report.summary["sound_pass"] is True
         assert math.isfinite(report.summary["max_sound_violation"])
+
+
+class TestSummaryVerdict:
+    """The summary passes only when every row passes."""
+
+    def test_miscertified_codebook_row_fails_the_summary(self):
+        code = generate_certified_codebook(32, 0.5, 6, seed=1).code
+        cb = Codebook(code=code, epsilon_certified=0.2, seed=1, attempts=1)
+        report = bound_sweep([0.2], [2], [1], codebook=cb, cheat_samples=2)
+        row = report.rows[-1]
+        assert row["violations"] == 0 and row["pass"] is False
+        assert report.summary["max_sound_violation"] <= harness.SOUND_TOL
+        assert report.summary["sound_pass"] is False
+
+    def test_equality_gap_between_the_tolerances_fails_the_summary(self, monkeypatch):
+        original = protocol2.binding_bound2
+        monkeypatch.setattr(
+            protocol2, "binding_bound2", lambda r, eps: original(r, eps) + 5e-9
+        )
+        report = bound_sweep([0.2], [2], [2], equality_configs=[(2, 0.3)])
+        row = report.rows[-1]
+        assert row["kind"] == "equality" and row["pass"] is False
+        assert report.summary["max_sound_violation"] <= harness.SOUND_TOL
+        assert report.summary["sound_pass"] is False
 
 
 class TestSweepLimits:
