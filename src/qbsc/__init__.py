@@ -36,7 +36,6 @@ from .linalg import (
     HermitianOp,
     Ket,
     binary_entropy,
-    projector,
     von_neumann_entropy,
 )
 from .protocol1 import (

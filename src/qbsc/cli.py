@@ -103,8 +103,9 @@ def _cmd_bounds(args) -> int:
     base = Path(args.out)
     if base.suffix in (".json", ".csv"):
         base = base.with_suffix("")
-    json_path = base.with_suffix(".json")
-    csv_path = base.with_suffix(".csv")
+    # appended, not swapped in: any other dot in the name stays
+    json_path = base.with_name(base.name + ".json")
+    csv_path = base.with_name(base.name + ".csv")
     if args.format in ("json", "both"):
         json_path.write_text(report.to_json())
     if args.format in ("csv", "both"):

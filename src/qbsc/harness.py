@@ -44,6 +44,17 @@ from .transcript import (
 )
 
 SOUND_TOL = 1e-8
+_IDENTITY_TOL = 1e-12  # the paper's per-bit cap against its closed form
+
+
+def _codebook_record(codebook: Codebook) -> dict:
+    """The params record of a protocol-2 transcript on ``codebook``."""
+    return {
+        "codebook_id": codebook.content_id(),
+        "epsilon": codebook.epsilon_certified,
+        "dim": codebook.dim,
+        "capacity": protocol2.capacity(codebook),
+    }
 
 
 def committed_transcript(
@@ -75,12 +86,7 @@ def committed_transcript(
             "qubits": [amplitude_pairs(q) if pure else matrix_pairs(q) for q in sent],
         }
     else:
-        record = {
-            "epsilon": codebook.epsilon_certified,
-            "dim": codebook.dim,
-            "capacity": protocol2.capacity(codebook),
-            "codebook_id": codebook.content_id(),
-        }
+        record = _codebook_record(codebook)
         if isinstance(sent, int):
             message = {"kind": "codebook_index", "index": sent}
         elif isinstance(sent, DensityMatrix):
@@ -133,10 +139,11 @@ def unveil_session(transcript: Transcript, claimed: str) -> Transcript:
 
 def _protocol_params(transcript: Transcript):
     """The :class:`SecurityParams` of a protocol-1 transcript, or the
-    ``codebook_id`` of a protocol-2 one.
+    params record of a protocol-2 one.
 
-    Every field is read strictly: integers must be JSON integers, ``theta`` a
-    JSON number, and a missing or mistyped field raises :class:`InputError`.
+    Every field is read strictly: integers must be JSON integers, ``theta``
+    and ``epsilon`` JSON numbers, and a missing or mistyped field raises
+    :class:`InputError`.
     """
     if transcript.protocol == 1:
         return SecurityParams(
@@ -144,12 +151,14 @@ def _protocol_params(transcript: Transcript):
             n=field(transcript.params, "n", int, "params"),
             r=field(transcript.params, "r", int, "params"),
         )
-    return field(transcript.params, "codebook_id", str, "params")
+    kinds = {"codebook_id": str, "epsilon": REAL, "dim": int, "capacity": int}
+    return {key: field(transcript.params, key, kind, "params") for key, kind in kinds.items()}
 
 
 def _reconstruct_commitment(transcript: Transcript, codebook: Codebook | None):
     """The commitment a transcript's message describes and its protocol's
-    verifier, every field read strictly (see :func:`_protocol_params`)."""
+    verifier, every field read strictly (see :func:`_protocol_params`).  Every
+    field of a protocol-2 params record must match ``codebook``."""
     message = transcript.commit.get("message")
     if not isinstance(message, dict):
         raise InputError("commit.message must be an object")
@@ -167,10 +176,10 @@ def _reconstruct_commitment(transcript: Transcript, codebook: Codebook | None):
         return commitment, protocol1.verify_unveil
     if codebook is None:
         raise InputError("verifying a protocol 2 transcript needs the codebook")
-    if codebook.content_id() != _protocol_params(transcript):
-        raise InputError(
-            "supplied codebook does not match the transcript's codebook_id"
-        )
+    recorded = _protocol_params(transcript)
+    for key, value in _codebook_record(codebook).items():
+        if recorded[key] != value:
+            raise InputError(f"supplied codebook does not match the transcript's {key}")
     if kind == "codebook_index":
         state = codebook.state(field(message, "index", int, "commit.message"))
     elif kind == "state_amplitudes":
@@ -275,7 +284,8 @@ def _protocol1_row(
     theta: float, n: int, r: int, rhs: float, lam: float, brute: float | None
 ) -> dict:
     """One grid row; ``rhs`` and ``lam`` are solved per theta, ``brute`` per
-    (theta, n), and ``brute`` is None above the brute-force limit."""
+    (theta, n), and ``brute`` is None above the brute-force limit.  Each gap
+    is gated once, here: 1e-12 identity, 1e-9 spectral and 1e-8 Holevo."""
     identity = 1.0 + math.sin(theta)
     holevo = protocol1.holevo_bound1(n, theta)
     delta_raw = protocol1.identify_all_bound_raw(n, theta, r)
@@ -306,9 +316,9 @@ def _protocol1_row(
         "delta_covers_exact": guess_all <= delta + SOUND_TOL,
     }
     gaps = (row["binding_identity_gap"], row["binding_spectral_gap"], row["holevo_gap"])
-    sound = max(gap for gap in gaps if gap is not None)
-    row["pass"] = sound <= SOUND_TOL
-    row["_sound_violation"] = sound
+    tols = (_IDENTITY_TOL, _BOUND_TOL, SOUND_TOL)
+    row["pass"] = all(gap is None or gap <= tol for gap, tol in zip(gaps, tols))
+    row["_sound_violation"] = max(gap for gap in gaps if gap is not None)
     return row
 
 

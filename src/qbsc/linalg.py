@@ -218,11 +218,6 @@ def _fix_phase(vector: np.ndarray) -> np.ndarray:
     return vector * (pivot.conjugate() / abs(pivot))
 
 
-def projector(v: Ket) -> HermitianOp:
-    """Rank-1 projector onto a normalized state."""
-    return HermitianOp(np.outer(v.amps, v.amps.conj()))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy -sum(p log2 p) in bits, with 0*log(0) = 0."""
     positive = rho.spectrum[rho.spectrum > 0.0]

@@ -17,7 +17,9 @@ columns that a histogram of their integer values replaced.  The complex
 reveal-set operator stacked from the code states' ``Ket`` amplitudes is
 what the real one built from a batch of codewords replaced.  The explicit
 per-qubit Helstrom measurement, summed over every bit string, is what the
-closed form of ``guess_all_oracle`` must agree with.
+closed form of ``guess_all_oracle`` must agree with.  The rank-1
+projector of a state builds those measurements and the two-projector sum
+that the one-build ``reveal_operator`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qbsc.errors import InputError, NumericalError
-from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh, projector
+from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh
 from qbsc.protocol1 import _BOUND_TOL, encode_bit
 from qbsc.transcript import format_float
 
@@ -41,6 +43,11 @@ def inner(u: Ket, v: Ket) -> complex:
     if u.dim != v.dim:
         raise InputError(f"dimension mismatch: {u.dim} vs {v.dim}")
     return complex(np.vdot(u.amps, v.amps))
+
+
+def projector(v: Ket) -> HermitianOp:
+    """Rank-1 projector onto a normalized state."""
+    return HermitianOp(np.outer(v.amps, v.amps.conj()))
 
 
 def tensor(a: Ket, b: Ket) -> Ket:

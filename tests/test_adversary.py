@@ -14,7 +14,6 @@ from qbsc import (
     equality_configuration,
     generate_certified_codebook,
     guess_all_oracle,
-    projector,
     reveal_operator,
     run_cheat_session,
     top_eigenvector_strategy,
@@ -27,6 +26,7 @@ from oracles import (
     eig_hermitian,
     enumerated_guess_all,
     helstrom_two_state,
+    projector,
     random_ket,
 )
 
@@ -149,13 +149,11 @@ class TestGuessAll:
         def never(*args, **kwargs):
             raise AssertionError("the closed form builds no operator")
 
-        # every qbsc module that holds its own reference to either function
-        for name in ("_eigh", "projector"):
-            original = getattr(linalg, name)
-            for module_name, module in list(sys.modules.items()):
-                held = getattr(module, name, None)
-                if module_name.startswith("qbsc") and held is original:
-                    monkeypatch.setattr(module, name, never)
+        # every qbsc module that holds its own reference to the eigensolver
+        for module_name, module in list(sys.modules.items()):
+            held = getattr(module, "_eigh", None)
+            if module_name.startswith("qbsc") and held is linalg._eigh:
+                monkeypatch.setattr(module, "_eigh", never)
         for n in (1, 2, 3, 4):
             for theta in (0.1, 0.4, 1.0):
                 assert guess_all_oracle(n, theta) == ((1 + math.cos(theta)) / 2) ** n

@@ -220,8 +220,14 @@ class TestSessionFlow:
             (1, "r", None),
             (2, "codebook_id", MISSING),
             (1, "theta", -(10**400)),
+            (2, "epsilon", "0.375"),
+            (2, "dim", 32.0),
+            (2, "capacity", None),
         ],
-        ids=["theta-abc", "n-4.7", "r-null", "codebook_id-missing", "theta-huge-int"],
+        ids=[
+            "theta-abc", "n-4.7", "r-null", "codebook_id-missing", "theta-huge-int",
+            "epsilon-string", "dim-float", "capacity-null",
+        ],
     )
     def test_unveil_reads_params_strictly(
         self, tmp_path, codebook_path, capsys, protocol, key, value
@@ -266,6 +272,26 @@ class TestSessionFlow:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "salt" in err
         assert "Traceback" not in err
+        assert t.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "key, value", [("epsilon", 0.01), ("dim", 7), ("capacity", 99)]
+    )
+    def test_protocol2_params_must_match_the_codebook(
+        self, tmp_path, codebook_path, capsys, key, value
+    ):
+        t = tmp_path / "session2.json"
+        run("commit", "--protocol", 2, "--bits", "101101",
+            "--codebook", codebook_path, "--seed", 4, "--transcript", t)
+        payload = json.loads(t.read_text())
+        assert payload["params"][key] != value
+        payload["params"][key] = value
+        t.write_text(json.dumps(payload))
+        assert run("unveil", "--transcript", t, "--bits", "101101") == 0
+        before = t.read_bytes()
+        assert run("verify", "--transcript", t, "--codebook", codebook_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"transcript's {key}" in err
         assert t.read_bytes() == before
 
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
@@ -561,6 +587,21 @@ class TestBoundsCommand:
     def test_empty_grid_rejected(self, tmp_path):
         assert run("bounds", "--theta", "abc", "--n", "2", "--r", "1",
                    "--out", tmp_path / "r") == 2
+
+    @pytest.mark.parametrize(
+        "out, written",
+        [
+            ("run.v2", ("run.v2.json", "run.v2.csv")),
+            ("run.v2.json", ("run.v2.json", "run.v2.csv")),
+            ("run.v2.csv", ("run.v2.json", "run.v2.csv")),
+            ("report", ("report.json", "report.csv")),
+            ("report.json", ("report.json", "report.csv")),
+        ],
+    )
+    def test_out_keeps_the_dots_in_its_name(self, tmp_path, out, written):
+        assert run("bounds", "--theta", "0.2", "--n", "2", "--r", "1",
+                   "--out", tmp_path / out) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
 
 
 class TestCheatCommand:

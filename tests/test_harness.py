@@ -6,6 +6,7 @@ import pytest
 
 from qbsc import InputError, protocol1, uniform_commitment_state, von_neumann_entropy
 from qbsc import adversary, harness, protocol2
+from qbsc.cli import main
 from qbsc.codebook import Codebook, generate_certified_codebook
 from qbsc.harness import bound_sweep, commit_session, unveil_session, verify_session
 from qbsc.linalg import DensityMatrix
@@ -41,6 +42,13 @@ class TestProtocol1Sweep:
         bounds = [args for name, args in calls if name == "binding_bound1"]
         assert bounds == [(theta,) for theta in thetas]
 
+    def test_one_reveal_solve_per_theta(self, monkeypatch):
+        calls = []
+        counting(monkeypatch, protocol1, "top_reveal_eigenvalue", calls)
+        thetas = (0.1, 0.2, 0.3)
+        bound_sweep(thetas, (2, 4), (1, 2))
+        assert calls == [("top_reveal_eigenvalue", (theta,)) for theta in thetas]
+
     def test_rows_carry_the_dense_mixture_entropy(self):
         report = bound_sweep((0.05, 0.4), (1, 4, 9, 13), (1, 3))
         for row in report.rows:
@@ -56,6 +64,33 @@ class TestProtocol1Sweep:
             )
         assert report.summary["sound_pass"] is True
         assert math.isfinite(report.summary["max_sound_violation"])
+
+
+class TestProtocol1RowGates:
+    """Each protocol-1 comparison is gated once, in the row, at its own
+    tolerance: 1e-12 identity, 1e-9 spectral and 1e-8 Holevo."""
+
+    @pytest.mark.parametrize(
+        "module, name, below, above",
+        [
+            (protocol1, "binding_bound1", 5e-13, 1e-11),
+            (protocol1, "top_reveal_eigenvalue", 5e-10, 2e-9),
+            (harness, "von_neumann_entropy", 5e-9, 2e-8),
+        ],
+        ids=["identity", "spectral", "holevo"],
+    )
+    def test_gap_above_its_tolerance_fails_the_row(
+        self, monkeypatch, tmp_path, module, name, below, above
+    ):
+        original = getattr(module, name)
+        for shift, verdict in ((below, True), (above, False)):
+            monkeypatch.setattr(module, name, lambda x, s=shift: original(x) + s)
+            report = bound_sweep((0.1, 0.3), (2, 4), (1,))
+            assert [row["pass"] for row in report.rows] == [verdict] * 4
+            assert report.summary["sound_pass"] is verdict
+            code = main(["bounds", "--theta", "0.2", "--n", "3", "--r", "1",
+                         "--out", str(tmp_path / "report")])
+            assert code == (0 if verdict else 5)
 
 
 class TestSummaryVerdict:

@@ -12,7 +12,6 @@ from qbsc import (
     InputError,
     Ket,
     binary_entropy,
-    projector,
     von_neumann_entropy,
 )
 from qbsc import linalg
@@ -23,6 +22,7 @@ from qbsc.linalg import _max_asymmetry
 from oracles import (
     eig_hermitian,
     inner,
+    projector,
     random_density_matrix,
     random_ket,
     tensor,

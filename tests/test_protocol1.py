@@ -16,17 +16,17 @@ from qbsc import (
     holevo_power_form,
     identify_all_bound,
     identify_all_bound_raw,
-    projector,
     reveal_operator,
     smallest_hiding_n,
     uniform_commitment_state,
     verify_unveil,
     von_neumann_entropy,
 )
-from qbsc import linalg, protocol1
+from qbsc import adversary, linalg, protocol1
+from qbsc.linalg import HermitianOp
 from qbsc.codebook import make_rng
 
-from oracles import computational_mixture, random_density_matrix, tensor
+from oracles import computational_mixture, projector, random_density_matrix, tensor
 
 
 def h2(p):
@@ -164,6 +164,44 @@ class TestBindingBound:
             value = binding_bound1(theta)
             lam = float(np.linalg.eigvalsh(reveal_operator(theta).mat)[-1])
             assert abs(value - lam) <= 1e-9
+
+    def test_closed_form_builds_no_operator(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the closed form builds no operator")
+
+        for name in ("reveal_operator", "top_reveal_eigenvalue"):
+            monkeypatch.setattr(protocol1, name, never)
+        monkeypatch.setattr(HermitianOp, "__post_init__", never)
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        monkeypatch.setattr(np.linalg, "eigh", never)
+        for theta in (0.0, 1e-6, 0.1, 0.7, math.pi / 2):
+            assert abs(binding_bound1(theta) - (1.0 + math.sin(theta))) <= 1e-12
+
+    def test_reveal_operator_is_one_build(self, monkeypatch):
+        built = []
+        original = HermitianOp.__post_init__
+
+        def counted(op):
+            built.append(op)
+            original(op)
+
+        monkeypatch.setattr(HermitianOp, "__post_init__", counted)
+        op = reveal_operator(0.3)
+        assert len(built) == 1 and built[0] is op
+
+    def test_reveal_operator_matches_the_projector_sum(self):
+        # the slow path it replaced: two projectors built, then summed
+        rng = np.random.default_rng(11)
+        for theta in (0.0, math.pi / 2, *rng.uniform(0.0, math.pi / 2, size=200)):
+            op = reveal_operator(theta)
+            e0, e1 = encode_bit(0, theta), encode_bit(1, theta)
+            slow = HermitianOp(projector(e0).mat + projector(e1).mat)
+            assert op.mat.dtype == slow.mat.dtype
+            assert np.array_equal(op.mat, slow.mat)
+            fast_top = adversary.top_eigenvector_strategy(op)
+            slow_top = adversary.top_eigenvector_strategy(slow)
+            assert np.array_equal(fast_top.state.amps, slow_top.state.amps)
+            assert fast_top.achieved == slow_top.achieved
 
     def test_random_states_never_beat_the_cap(self):
         rng = np.random.default_rng(99)
