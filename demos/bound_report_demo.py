@@ -46,7 +46,13 @@ for row in report.rows:
         print(f"codebook cheat sets: {row['samples']} samples, "
               f"{row['violations']} violations, worst margin {row['gap']:.3e}")
 
+# named as `qbsc bounds --out` names them: a .json or .csv suffix is dropped,
+# and the extensions are appended, so any other dot in the name stays
 base = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("bound_report")
-base.with_suffix(".json").write_text(report.to_json())
-base.with_suffix(".csv").write_text(report.to_csv())
-print(f"\nwrote {base.with_suffix('.json')} and {base.with_suffix('.csv')}")
+if base.suffix in (".json", ".csv"):
+    base = base.with_suffix("")
+json_path = base.with_name(base.name + ".json")
+csv_path = base.with_name(base.name + ".csv")
+json_path.write_text(report.to_json())
+csv_path.write_text(report.to_csv())
+print(f"\nwrote {json_path} and {csv_path}")

@@ -9,26 +9,29 @@ codeword weights ``w``.  Certification is exhaustive over that weight
 enumeration: codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is
 the Walsh-Hadamard transform of the histogram of the generator's columns
 read as ``k``-bit integers, so all ``2^k`` weights cost ``O(m + k 2^k)``
-whatever the length.  The certificate reads only the smallest and the
-largest weight: ``|1 - 2 w / m|`` falls on ``w <= m/2`` and rises on
-``w >= m/2``, float rounding included, so the two extremes give the maximum
-to the bit.  It is cached on the immutable code, so each code is enumerated
-once however many times it is certified.  Every codebook the package builds
+whatever the length.  The transform runs in int16 (exact while ``m <=
+32,767``, int64 above), its butterflies alternating between two buffers
+over contiguous half-blocks, with one transpose so that every pass has
+long blocks.  The certificate reads only the smallest and the largest
+weight: ``|1 - 2 w / m|`` falls on ``w <= m/2`` and rises on ``w >= m/2``,
+float rounding included, so the two extremes give the maximum to the bit.
+It is cached on the immutable code, so each code is enumerated once
+however many times it is certified.  Every codebook the package builds
 (generated, fingerprinted or loaded) is cross-checked once, as it is built,
 against directly computed inner products of 100 seeded pairs; verifying a
 loaded codebook reads the cached certificate.  The pairs are drawn in one
-call, each side's codewords come from one batched call, and each amplitude
-is written as the sign bit of ``1/sqrt(m)``.  A batch of codewords comes
-from the generator rows held as ``m``-bit integers: each message XORs the
-rows it selects, and one ``unpackbits`` turns the batch into a bit matrix
-(the reveal-set Gram matrix reads the packed integers themselves, its
-distances being popcounts of their XOR).
-The same packed rows give the rank over GF(2) as the size of an XOR basis.
-Stored generator rows are hex strings of exactly ``ceil(m/4)`` lowercase
-digits, written and read through ``packbits``/``unpackbits``, and a stored
-length above ``MAX_GENERATE_M`` is refused before any array is built.  The
-dense per-message product ``bits @ G mod 2`` remains only as the tests'
-oracle.
+call, each side's codewords come from one batched call, each amplitude is
+written as the sign bit of ``1/sqrt(m)``, and all pairs are judged by array
+comparisons that name the first failing pair.  The code keeps its generator
+rows packed eight bits to a byte: a batch of codewords is one XOR-reduce of
+the rows its messages select, and one ``unpackbits`` turns it into a bit
+matrix (the reveal-set Gram matrix reads the packed bytes themselves, its
+distances being popcounts of their XOR).  The rank over GF(2) is the size
+of an XOR basis of the rows as integers.  Stored generator rows are hex
+strings of exactly ``ceil(m/4)`` lowercase digits, the whole matrix written
+in one ``packbits`` and read in one ``unpackbits``, and a stored length
+above ``MAX_GENERATE_M`` is refused before any array is built.  The dense
+per-message product ``bits @ G mod 2`` remains only as the tests' oracle.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
 ``numpy.random.SeedSequence``; :func:`make_rng` builds every generator of the
@@ -114,30 +117,54 @@ def _column_values(gen: np.ndarray) -> np.ndarray:
     return np.dot(1 << np.arange(gen.shape[0] - 1, -1, -1), gen)
 
 
-def _value_rows(values, m: int) -> np.ndarray:
-    """``(len(values), m)`` uint8 bit rows of ``m``-bit integers, inverse of
-    :func:`_row_ints`."""
+def _rows_to_hex(gen: np.ndarray) -> list[str]:
+    """Rows of a ``(k, m)`` bit matrix as ``ceil(m/4)`` lowercase hex digits
+    each, packed in one ``packbits`` after zero bits are put in front of each
+    row up to whole bytes."""
+    k, m = gen.shape
     width = (m + 7) // 8
-    raw = b"".join([value.to_bytes(width, "big") for value in values])
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    return bits.reshape(len(values), 8 * width)[:, 8 * width - m :]
+    padded = np.zeros((k, 8 * width), dtype=np.uint8)
+    padded[:, 8 * width - m :] = gen
+    text = np.packbits(padded, axis=1).tobytes().hex()
+    step = 2 * width
+    skip = step - (m + 3) // 4  # a leading zero digit when ceil(m/4) is odd
+    return [text[start + skip : start + step] for start in range(0, len(text), step)]
 
 
-def _row_to_hex(row: np.ndarray) -> str:
-    return format(_row_ints(row[None])[0], f"0{max(1, (row.size + 3) // 4)}x")
-
-
-def _hex_to_row(text: str, m: int) -> np.ndarray:
-    """Bits of a stored row: exactly ``ceil(m/4)`` lowercase hex digits with
-    a value below ``2^m``."""
+def _hex_to_rows(texts: list, m: int) -> np.ndarray:
+    """``(len(texts), m)`` bits of stored rows, each exactly ``ceil(m/4)``
+    lowercase hex digits with a value below ``2^m``; inverse of
+    :func:`_rows_to_hex`, unpacked in one ``unpackbits``."""
     digits = (m + 3) // 4
-    canonical = isinstance(text, str) and len(text) == digits
-    if not (canonical and _HEX_DIGITS.issuperset(text)):
-        raise InputError(f"generator row {text!r} is not {digits} lowercase hex digits")
-    value = int(text, 16)
-    if value >> m:
-        raise InputError(f"generator row {text!r} exceeds {m} bits")
-    return _value_rows([value], m)[0]
+    top = m - 4 * (digits - 1)  # bits the leading digit may use
+    for text in texts:
+        canonical = isinstance(text, str) and len(text) == digits
+        if not (canonical and _HEX_DIGITS.issuperset(text)):
+            raise InputError(
+                f"generator row {text!r} is not {digits} lowercase hex digits"
+            )
+        if int(text[0], 16) >> top:
+            raise InputError(f"generator row {text!r} exceeds {m} bits")
+    width = (m + 7) // 8
+    pad = "0" * (2 * width - digits)
+    raw = bytes.fromhex("".join([pad + text for text in texts]))
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), width)
+    return np.unpackbits(packed, axis=1)[:, 8 * width - m :]
+
+
+def _butterflies(src: np.ndarray, dst: np.ndarray, passes: int, block: int):
+    """Walsh-Hadamard butterflies on ``passes`` index bits of ``src``, from
+    the bit of weight ``block`` upwards, alternating between the two buffers.
+
+    Each pass adds and subtracts contiguous half-blocks of ``block`` or more
+    entries.  Returns the buffer holding the result and the spare one.
+    """
+    for _ in range(passes):
+        halves, out = src.reshape(-1, 2, block), dst.reshape(-1, 2, block)
+        np.add(halves[:, 0], halves[:, 1], out=out[:, 0])
+        np.subtract(halves[:, 0], halves[:, 1], out=out[:, 1])
+        src, dst, block = dst, src, 2 * block
+    return src, dst
 
 
 @dataclass(frozen=True)
@@ -164,9 +191,12 @@ class BinaryCode:
         gen = np.ascontiguousarray(gen)
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
-        # rows as m-bit integers, last row first, so that bit i of a message
-        # (least significant first) selects entry i
-        object.__setattr__(self, "_row_values", tuple(_row_ints(gen[::-1])))
+        # rows packed eight bits to a byte (zero bits after each row's last),
+        # last row first, so that bit i of a message (least significant
+        # first) selects entry i
+        packed = np.packbits(gen[::-1], axis=1)
+        packed.setflags(write=False)
+        object.__setattr__(self, "_packed_rows", packed)
 
     @property
     def k(self) -> int:
@@ -182,26 +212,26 @@ class BinaryCode:
         The packed codewords of :meth:`_packed_words`, unpacked to bits at
         once.
         """
-        return _value_rows(self._packed_words(messages), self.m)
+        return np.unpackbits(self._packed_words(messages), axis=1, count=self.m)
 
-    def _packed_words(self, messages) -> list[int]:
-        """Codewords of big-endian message indices as ``m``-bit integers.
+    def _packed_words(self, messages) -> np.ndarray:
+        """``(len(messages), ceil(m/8))`` codewords of big-endian message
+        indices, packed like the generator rows.
 
-        Each is the XOR of the packed generator rows its message selects.
+        Each is the XOR of the packed rows its message selects: the messages'
+        bits weight the rows, and one XOR-reduce sums the whole batch.
         """
-        size = 2**self.k
-        words = []
+        k = self.k
+        width = (k + 7) // 8
+        raw = []
         for message in messages:
             x = operator.index(message)
-            if not 0 <= x < size:
-                raise InputError(f"message {message} out of range for k={self.k}")
-            word = 0
-            for row in self._row_values:
-                if x & 1:
-                    word ^= row
-                x >>= 1
-            words.append(word)
-        return words
+            if x < 0 or x >> k:
+                raise InputError(f"message {message} out of range for k={k}")
+            raw.append(x.to_bytes(width, "little"))
+        indices = np.ndarray((len(raw), width, 1), np.uint8, b"".join(raw))
+        bits = np.unpackbits(indices, axis=1, count=k, bitorder="little")
+        return np.bitwise_xor.reduce(bits * self._packed_rows, axis=1)
 
     def codeword(self, message: int) -> np.ndarray:
         return self.codewords((message,))[0]
@@ -211,18 +241,29 @@ class BinaryCode:
 
         Codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is the
         Walsh-Hadamard transform of the histogram of the generator columns
-        read as k-bit integers (row 0 most significant).  The transform is k
-        integer butterfly passes; each acts on the leading index bit and
-        moves it to the end, so after k passes the order is restored.
+        read as k-bit integers (row 0 most significant).  Every partial sum
+        of the transform is a signed sum of disjoint column counts, so its
+        magnitude is at most ``m`` and int16 holds it exactly for ``m`` up
+        to 32,767 (int64 above).  The histogram, as a ``(2^hi, 2^lo)``
+        array with ``lo = k // 2``, takes its ``hi`` row-bit passes, is
+        transposed once, and takes its ``lo`` passes on what were its
+        columns, so every pass adds and subtracts blocks of at least
+        ``2^lo`` contiguous entries; one widening subtraction reads the
+        result back in message order.
         """
-        k = self.k
-        spectrum = np.bincount(_column_values(self.generator), minlength=2**k)
-        for _ in range(k):
-            top, bottom = spectrum.reshape(2, -1)
-            spectrum = np.empty((top.size, 2), dtype=np.int64)
-            np.add(top, bottom, out=spectrum[:, 0])
-            np.subtract(top, bottom, out=spectrum[:, 1])
-        return (self.m - spectrum.ravel()[1:]) // 2
+        k, m = self.k, self.m
+        lo = k // 2
+        rows, cols = 1 << (k - lo), 1 << lo
+        dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int64
+        columns = _column_values(self.generator)
+        src = np.bincount(columns, minlength=rows * cols).astype(dtype)
+        src, dst = _butterflies(src, np.empty_like(src), k - lo, cols)
+        np.copyto(dst.reshape(cols, rows), src.reshape(rows, cols).T)
+        spectrum, _ = _butterflies(dst, src, lo, rows)
+        weights = np.empty((rows, cols), dtype=np.int64)
+        np.subtract(np.int64(m), spectrum.reshape(cols, rows).T, out=weights)
+        weights >>= 1
+        return weights.ravel()[1:]
 
     @functools.cached_property
     def _epsilon(self) -> float:
@@ -307,7 +348,7 @@ class Codebook:
             "m": self.code.m,
             "seed": self.seed,
             "prng_id": PRNG_ID,
-            "generator": [_row_to_hex(row) for row in self.code.generator],
+            "generator": _rows_to_hex(self.code.generator),
             "epsilon_certified": self.epsilon_certified,
             "attempts": self.attempts,
         }
@@ -358,8 +399,7 @@ class Codebook:
             raise InputError(
                 f"codebook needs seed >= 0 and attempts >= 1, got {seed}, {attempts}"
             )
-        gen = np.array([_hex_to_row(row, m) for row in rows], dtype=np.uint8)
-        code = BinaryCode(gen.reshape(k, m))
+        code = BinaryCode(_hex_to_rows(rows, m))
         epsilon = float(read("epsilon_certified", REAL))
         cb = cls(code=code, epsilon_certified=epsilon, seed=seed, attempts=attempts)
         recomputed = code._epsilon
@@ -415,6 +455,8 @@ def _crosscheck_pairs(cb: Codebook) -> None:
 
     The pairs are drawn in one call, keyed by the seed of the accepted
     attempt, and both sides' codewords come from one batched call each.
+    All pairs are judged at once; the error names the first failing pair,
+    and a pair failing both checks fails the identity.
     """
     if cb.size < 2:
         return
@@ -428,19 +470,21 @@ def _crosscheck_pairs(cb: Codebook) -> None:
     words_j = cb.code.codewords(seconds)
     overlaps = np.einsum("pa,pa->p", _amplitudes(words_i), _amplitudes(words_j))
     distances = np.count_nonzero(words_i != words_j, axis=1)
-    checks = zip(firsts, seconds, overlaps.tolist(), distances.tolist())
-    for i, j, direct, d in checks:
-        predicted = 1.0 - 2.0 * d / cb.code.m
-        if abs(direct - predicted) > OVERLAP_IDENTITY_TOL:
-            raise NumericalError(
-                f"overlap identity violated for pair ({i}, {j}): "
-                f"direct {direct!r} vs predicted {predicted!r}"
-            )
-        if abs(direct) > epsilon + OVERLAP_IDENTITY_TOL:
-            raise NumericalError(
-                f"pair ({i}, {j}) overlap {direct!r} exceeds certified "
-                f"{epsilon!r}"
-            )
+    predicted = 1.0 - 2.0 * distances / cb.code.m
+    broken = np.abs(overlaps - predicted) > OVERLAP_IDENTITY_TOL
+    failing = broken | (np.abs(overlaps) > epsilon + OVERLAP_IDENTITY_TOL)
+    if not failing.any():
+        return
+    p = int(failing.argmax())
+    i, j, direct = firsts[p], seconds[p], float(overlaps[p])
+    if broken[p]:
+        raise NumericalError(
+            f"overlap identity violated for pair ({i}, {j}): "
+            f"direct {direct!r} vs predicted {float(predicted[p])!r}"
+        )
+    raise NumericalError(
+        f"pair ({i}, {j}) overlap {direct!r} exceeds certified {epsilon!r}"
+    )
 
 
 def generate_certified_codebook(

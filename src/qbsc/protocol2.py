@@ -33,6 +33,8 @@ from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import _BOUND_TOL, projection_probability
 
+_GRAM_BLOCK_BYTES = 1 << 20  # XORed bytes held at once by cheat_set_gram
+
 
 @dataclass(frozen=True)
 class Commitment2:
@@ -131,11 +133,15 @@ def cheat_set_gram(cb: Codebook, s: CheatSet) -> np.ndarray:
     """Real ``r x r`` Gram matrix ``1 - 2 d_ij / m`` of the cheat set's states.
 
     ``d_ij`` is the Hamming distance between the codewords, the popcount of
-    the XOR of their packed integers; the matrix has the nonzero spectrum of
-    :func:`q_operator`.
+    the XOR of their packed bytes, taken for blocks of rows against all
+    words at once; the matrix has the nonzero spectrum of :func:`q_operator`.
     """
     words = cb.code._packed_words(s.indices)
-    distances = np.array([[(a ^ b).bit_count() for b in words] for a in words])
+    step = max(1, _GRAM_BLOCK_BYTES // words.size)
+    distances = np.concatenate([
+        np.bitwise_count(words[start : start + step, None] ^ words).sum(axis=2)
+        for start in range(0, len(words), step)
+    ])
     return 1.0 - 2.0 * distances / cb.code.m
 
 

@@ -19,7 +19,10 @@ what the real one built from a batch of codewords replaced.  The explicit
 per-qubit Helstrom measurement, summed over every bit string, is what the
 closed form of ``guess_all_oracle`` must agree with.  The rank-1
 projector of a state builds those measurements and the two-projector sum
-that the one-build ``reveal_operator`` must match bit for bit.
+that the one-build ``reveal_operator`` must match bit for bit.  The int64
+butterflies with interleaved writes are the weight enumeration that the
+contiguous int16 one replaced, and the Python-integer popcounts the
+reveal-set Gram matrix that the packed-byte one replaced.
 """
 
 from __future__ import annotations
@@ -244,6 +247,38 @@ def all_weights_epsilon(code) -> float:
     if weights.size == 0:
         return 0.0
     return float(np.abs(1.0 - 2.0 * weights / code.m).max())
+
+
+def int64_butterfly_weights(code) -> np.ndarray:
+    """Nonzero codeword weights from int64 Walsh-Hadamard butterflies that
+    each act on the leading index bit and write their sums and differences
+    interleaved, moving that bit to the end."""
+    k = code.k
+    columns = np.dot(1 << np.arange(k - 1, -1, -1), code.generator)
+    spectrum = np.bincount(columns, minlength=2**k)
+    for _ in range(k):
+        top, bottom = spectrum.reshape(2, -1)
+        spectrum = np.empty((top.size, 2), dtype=np.int64)
+        np.add(top, bottom, out=spectrum[:, 0])
+        np.subtract(top, bottom, out=spectrum[:, 1])
+    return (code.m - spectrum.ravel()[1:]) // 2
+
+
+def python_int_cheat_set_gram(cb, s) -> np.ndarray:
+    """Gram matrix ``1 - 2 d_ij / m`` of a cheat set with each codeword an
+    ``m``-bit Python integer, the XOR of the generator rows its message
+    selects, and each distance the ``bit_count`` of an XOR of two of them."""
+    k = cb.code.k
+    rows = [int("".join(map(str, row)), 2) for row in cb.code.generator.tolist()]
+    words = []
+    for x in s.indices:
+        word = 0
+        for i, row in enumerate(rows):
+            if (x >> (k - 1 - i)) & 1:
+                word ^= row
+        words.append(word)
+    distances = np.array([[(a ^ b).bit_count() for b in words] for a in words])
+    return 1.0 - 2.0 * distances / cb.code.m
 
 
 def computational_mixture(n: int, theta: float) -> DensityMatrix:

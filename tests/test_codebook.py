@@ -31,13 +31,18 @@ from qbsc import codebook as codebook_module
 from qbsc.codebook import (
     _column_values,
     _crosscheck_pairs,
-    _hex_to_row,
-    _row_to_hex,
+    _hex_to_rows,
+    _rows_to_hex,
     make_rng,
 )
 from qbsc.errors import NumericalError
 
-from oracles import all_weights_epsilon, elimination_rank_gf2, unique_column_counts
+from oracles import (
+    all_weights_epsilon,
+    elimination_rank_gf2,
+    int64_butterfly_weights,
+    unique_column_counts,
+)
 
 # 4x16 generator whose 15 nonzero codeword weights span exactly [6, 10]
 PINNED_4x16 = np.array(
@@ -190,6 +195,31 @@ class TestWeightEnumeration:
         m = data.draw(st.integers(k, 200))
         code = generate_code(k, m, seed)
         assert np.array_equal(code.nonzero_codeword_weights(), dense_weights(code))
+
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_int64_butterflies_random_codes(self, k, seed, data):
+        m = data.draw(st.integers(k, codebook_module.MAX_GENERATE_M))
+        code = generate_code(k, m, seed)
+        weights = code.nonzero_codeword_weights()
+        expected = int64_butterfly_weights(code)
+        assert weights.dtype == expected.dtype == np.int64
+        assert np.array_equal(weights, expected)
+
+    @pytest.mark.parametrize("m", [32767, 32768, 32769])
+    def test_all_ones_row_at_the_int16_limit(self, m):
+        # the transform is [m, -m]: |W| = m fits int16 at 32,767, not at
+        # 32,768; wrapping int16 sums would still give -m there, not at 32,769
+        code = BinaryCode(generator=np.ones((1, m), dtype=np.uint8))
+        weights = code.nonzero_codeword_weights()
+        assert weights.dtype == np.int64 and weights.tolist() == [m]
+        assert np.array_equal(weights, int64_butterfly_weights(code))
+
+    @pytest.mark.parametrize("m", [32767, 32768, 40000])
+    def test_long_random_codes_match_int64_butterflies(self, m):
+        rng = np.random.default_rng(m)
+        code = BinaryCode(generator=rng.integers(0, 2, size=(9, m), dtype=np.uint8))
+        assert np.array_equal(code.nonzero_codeword_weights(), int64_butterfly_weights(code))
 
     def test_pinned_generator(self):
         code = BinaryCode(generator=PINNED_4x16)
@@ -537,6 +567,16 @@ class TestBatchedCodewords:
             code.codeword(message)
 
 
+def _row_to_hex(row):
+    """One row through the matrix codec's writer."""
+    return _rows_to_hex(row[None])[0]
+
+
+def _hex_to_row(text, m):
+    """One row through the matrix codec's reader."""
+    return _hex_to_rows([text], m)[0]
+
+
 def old_row_to_hex(row):
     """The bit-by-bit writer the packed codec replaced."""
     value = 0
@@ -581,6 +621,27 @@ class TestHexCodec:
     def test_non_canonical_rows_rejected(self, text, m):
         with pytest.raises(InputError):
             _hex_to_row(text, m)
+
+
+class TestMatrixHexCodec:
+    """The whole generator converts in one ``packbits``/``unpackbits`` to the
+    rows the per-row codec writes and reads."""
+
+    @pytest.mark.parametrize(
+        "k, m", [(0, 5), (1, 1), (3, 4), (5, 9), (2, 12), (7, 77), (16, 130), (4, 4096)]
+    )
+    def test_matches_rows(self, k, m):
+        gen = np.random.default_rng(k * m).integers(0, 2, size=(k, m), dtype=np.uint8)
+        gen[0:1] = 1  # an all-ones row, whose leading digit is largest
+        texts = _rows_to_hex(gen)
+        assert texts == [old_row_to_hex(row) for row in gen]
+        assert np.array_equal(_hex_to_rows(texts, m), gen)
+
+    def test_first_bad_row_is_named(self):
+        with pytest.raises(InputError, match="'200' exceeds 9 bits"):
+            _hex_to_rows(["0ff", "200", "0FF"], 9)
+        with pytest.raises(InputError, match="'0FF' is not 3 lowercase"):
+            _hex_to_rows(["0ff", "0FF", "200"], 9)
 
 
 def old_crosscheck_pairs(cb):
@@ -673,6 +734,54 @@ class TestCrosscheck:
 
         monkeypatch.setattr(codebook_module, "_amplitudes", flip_first_sign_of_i_side)
         named = rf"identity violated for pair \({i}, {j}\)"
+        with pytest.raises(NumericalError, match=named):
+            _crosscheck_pairs(cb)
+
+
+class TestFirstFailingPair:
+    """The batched judgement names the pair the per-pair loop named first,
+    and a pair failing both checks fails the identity."""
+
+    @pytest.mark.parametrize(
+        "aliased, flipped, first, kind",
+        [
+            ((12, 37), None, 12, "exceeds"),
+            ((37,), 12, 12, "identity"),
+            ((12,), 37, 12, "exceeds"),
+            ((37,), 37, 37, "identity"),
+        ],
+    )
+    def test_named(self, monkeypatch, aliased, flipped, first, kind):
+        cb = generate_certified_codebook(32, 0.5, 6, seed=1)
+        pairs = old_crosscheck_pairs(cb)
+        partners = {p: cb.code.codewords([pairs[p][1]])[0] for p in aliased}
+
+        def alias(call, messages, words):
+            if call == 0:  # the i side: each aliased word equals its partner's
+                words = words.copy()
+                for p, word in partners.items():
+                    words[p] = word
+            return words
+
+        record_codewords(monkeypatch, alias)
+        original = codebook_module._amplitudes
+        sides = []
+
+        def flip_one_sign_of_i_side(words):
+            amps = original(words)
+            if not sides and flipped is not None:
+                amps[flipped, 0] = -amps[flipped, 0]
+            sides.append(words)
+            return amps
+
+        monkeypatch.setattr(codebook_module, "_amplitudes", flip_one_sign_of_i_side)
+        i, j = pairs[first]
+        value = r"[-0-9.e]+"  # a float's repr, not a numpy scalar's
+        if kind == "identity":
+            named = (rf"^overlap identity violated for pair \({i}, {j}\): "
+                     rf"direct {value} vs predicted {value}$")
+        else:
+            named = rf"^pair \({i}, {j}\) overlap {value} exceeds certified {value}$"
         with pytest.raises(NumericalError, match=named):
             _crosscheck_pairs(cb)
 

@@ -29,7 +29,12 @@ from qbsc.codebook import make_rng
 from qbsc.errors import NumericalError
 from qbsc.protocol2 import index_string, string_index
 
-from oracles import complex_q_operator, random_density_matrix, rayleigh_quotient_terms
+from oracles import (
+    complex_q_operator,
+    python_int_cheat_set_gram,
+    random_density_matrix,
+    rayleigh_quotient_terms,
+)
 
 ORTHOGONAL_2x4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
 
@@ -374,6 +379,24 @@ class TestSmallMatrixSpectra:
                 direct = np.vdot(pinned_codebook.state(i).amps,
                                  pinned_codebook.state(j).amps).real
                 assert gram[a, b] == pytest.approx(direct, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "k, m, r, seed", [(1, 1, 2, 0), (6, 32, 5, 1), (7, 77, 40, 2), (12, 1024, 9, 3)]
+    )
+    @pytest.mark.parametrize("block", ["default", "one-row", "uneven"])
+    def test_gram_is_the_python_int_popcount_to_the_byte(
+        self, monkeypatch, k, m, r, seed, block
+    ):
+        cb = fingerprint_states(generate_code(k, m, seed), seed)
+        s = CheatSet(indices=tuple(np.random.default_rng(seed).permutation(cb.size)[:r]))
+        words = (m + 7) // 8 * r  # packed bytes of the cheat set's codewords
+        if block != "default":
+            rows = 1 if block == "one-row" else 3
+            monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", rows * words + 5)
+        gram = cheat_set_gram(cb, s)
+        expected = python_int_cheat_set_gram(cb, s)
+        assert gram.dtype == expected.dtype and gram.shape == (r, r)
+        assert gram.tobytes() == expected.tobytes()
 
     def test_gram_rejects_out_of_range_index(self, pinned_codebook):
         with pytest.raises(InputError):
