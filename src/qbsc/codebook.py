@@ -9,12 +9,14 @@ codeword weights ``w``.  Certification is exhaustive over that weight
 enumeration: codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is
 the Walsh-Hadamard transform of the histogram of the generator's columns
 read as ``k``-bit integers, so all ``2^k`` weights cost ``O(m + k 2^k)``
-whatever the length.  The transform runs in int16 (exact while ``m <=
-32,767``, int64 above), its butterflies alternating between two buffers
-over contiguous half-blocks, with one transpose so that every pass has
-long blocks.  The certificate reads only the smallest and the largest
-weight: ``|1 - 2 w / m|`` falls on ``w <= m/2`` and rises on ``w >= m/2``,
-float rounding included, so the two extremes give the maximum to the bit.
+whatever the length.  The histogram is counted straight into the
+transform's dtype, int16 (exact while ``m <= 32,767``, int64 above); the
+butterflies alternate between two buffers over contiguous half-blocks, with
+one transpose into message order so that every pass has long blocks, and
+the weights are formed in that dtype and widened to int64 in one copy.
+The certificate reads only the smallest and the largest weight: ``|1 - 2 w
+/ m|`` falls on ``w <= m/2`` and rises on ``w >= m/2``, float rounding
+included, so the two extremes give the maximum to the bit.
 It is cached on the immutable code, so each code is enumerated once
 however many times it is certified.  Every codebook the package builds
 (generated, fingerprinted or loaded) is cross-checked once, as it is built,
@@ -22,10 +24,16 @@ against directly computed inner products of 100 seeded pairs; verifying a
 loaded codebook reads the cached certificate.  The pairs are drawn in one
 call, each side's codewords come from one batched call, each amplitude is
 written as the sign bit of ``1/sqrt(m)``, and all pairs are judged by array
-comparisons that name the first failing pair.  The code keeps its generator
-rows packed eight bits to a byte: a batch of codewords is one XOR-reduce of
-the rows its messages select, and one ``unpackbits`` turns it into a bit
-matrix (the reveal-set Gram matrix reads the packed bytes themselves, its
+comparisons that name the first failing pair.  The amplitudes and their
+overlaps are built for one block of pairs at a time, at most
+``_PAIR_BLOCK_BYTES`` of amplitudes per side, so the check reuses the same
+small buffers instead of touching fresh pages.  Codewords are looked up
+rather than summed: once per code, when its first codeword is asked for,
+one table per byte of a message is built, holding packed eight bits to a
+byte the XOR of the generator rows each value of that byte selects.  A batch
+of messages is read into one array, its codewords are one lookup per
+message byte, and one ``unpackbits`` turns them into a bit matrix (the
+reveal-set Gram matrix reads the packed bytes themselves, its
 distances being popcounts of their XOR).  The rank over GF(2) is the size
 of an XOR basis of the rows as integers.  Stored generator rows are hex
 strings of exactly ``ceil(m/4)`` lowercase digits, the whole matrix written
@@ -63,6 +71,9 @@ MAX_GENERATE_M = 4096
 DEFAULT_ATTEMPT_CAP = 500
 OVERLAP_IDENTITY_TOL = 1e-12
 _CROSSCHECK_PAIRS = 100
+# amplitude bytes per side held at once by the pair check: small enough
+# that each block's buffers reuse heap memory rather than fresh pages
+_PAIR_BLOCK_BYTES = 1 << 16
 _HEX_DIGITS = frozenset("0123456789abcdef")
 # spawn tags reserved on top of attempt indices
 _TAG_CROSSCHECK = 0x636B  # "ck"
@@ -191,12 +202,6 @@ class BinaryCode:
         gen = np.ascontiguousarray(gen)
         gen.setflags(write=False)
         object.__setattr__(self, "generator", gen)
-        # rows packed eight bits to a byte (zero bits after each row's last),
-        # last row first, so that bit i of a message (least significant
-        # first) selects entry i
-        packed = np.packbits(gen[::-1], axis=1)
-        packed.setflags(write=False)
-        object.__setattr__(self, "_packed_rows", packed)
 
     @property
     def k(self) -> int:
@@ -218,20 +223,42 @@ class BinaryCode:
         """``(len(messages), ceil(m/8))`` codewords of big-endian message
         indices, packed like the generator rows.
 
-        Each is the XOR of the packed rows its message selects: the messages'
-        bits weight the rows, and one XOR-reduce sums the whole batch.
+        Each is the XOR of the packed rows its message selects.  The
+        messages are read at once, as int64 (as Python integers for ``k``
+        above 63), and each of their bytes looks up the whole batch's
+        partial words in one table of :attr:`_byte_tables`.
         """
         k = self.k
-        width = (k + 7) // 8
-        raw = []
-        for message in messages:
-            x = operator.index(message)
-            if x < 0 or x >> k:
-                raise InputError(f"message {message} out of range for k={k}")
-            raw.append(x.to_bytes(width, "little"))
-        indices = np.ndarray((len(raw), width, 1), np.uint8, b"".join(raw))
-        bits = np.unpackbits(indices, axis=1, count=k, bitorder="little")
-        return np.bitwise_xor.reduce(bits * self._packed_rows, axis=1)
+        values = list(map(operator.index, messages))
+        if values and (min(values) < 0 or max(values) >> k):
+            bad = next(x for x in values if x < 0 or x >> k)
+            raise InputError(f"message {bad} out of range for k={k}")
+        # int64 holds every message of fewer than 64 bits
+        indices = np.array(values, dtype=np.int64 if k < 64 else object)
+        first, *rest = self._byte_tables
+        words = first[np.asarray(indices & 255, dtype=np.intp)]
+        for table in rest:
+            indices >>= 8
+            words ^= table[np.asarray(indices & 255, dtype=np.intp)]
+        return words
+
+    @functools.cached_property
+    def _byte_tables(self) -> list[np.ndarray]:
+        """For each byte of a message, least significant first, the packed
+        XOR of the rows each of its values selects: bit i of a message
+        selects row ``k - 1 - i``, each row packed eight bits to a byte
+        with zero bits after its last (a ``k = 0`` code has one table,
+        holding the zero word).  Built by doubling, once per code; together
+        about ``4 k m`` bytes, four times the unpacked generator."""
+        packed = np.packbits(self.generator[::-1], axis=1)
+        tables = []
+        for low in range(0, max(self.k, 1), 8):
+            rows = packed[low : low + 8]
+            table = np.zeros((1 << len(rows), packed.shape[1]), dtype=np.uint8)
+            for bit, row in enumerate(rows):
+                np.bitwise_xor(table[: 1 << bit], row, out=table[1 << bit : 2 << bit])
+            tables.append(table)
+        return tables
 
     def codeword(self, message: int) -> np.ndarray:
         return self.codewords((message,))[0]
@@ -244,26 +271,29 @@ class BinaryCode:
         read as k-bit integers (row 0 most significant).  Every partial sum
         of the transform is a signed sum of disjoint column counts, so its
         magnitude is at most ``m`` and int16 holds it exactly for ``m`` up
-        to 32,767 (int64 above).  The histogram, as a ``(2^hi, 2^lo)``
-        array with ``lo = k // 2``, takes its ``hi`` row-bit passes, is
-        transposed once, and takes its ``lo`` passes on what were its
-        columns, so every pass adds and subtracts blocks of at least
-        ``2^lo`` contiguous entries; one widening subtraction reads the
-        result back in message order.
+        to 32,767 (int64 above); the histogram is counted in that dtype.
+        It is laid out as a ``(2^lo, 2^hi)`` array, ``lo = k // 2`` low
+        column bits first, takes its ``lo`` row-bit passes, is transposed
+        once into message order, and takes its ``hi`` passes there, so
+        every pass adds and subtracts blocks of at least ``2^lo``
+        contiguous entries.  Since ``W = m (mod 2)``, the weight is ``(m >>
+        1) - (W >> 1)``, formed in place and widened to int64 in one copy.
         """
         k, m = self.k, self.m
         lo = k // 2
         rows, cols = 1 << (k - lo), 1 << lo
         dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int64
         columns = _column_values(self.generator)
-        src = np.bincount(columns, minlength=rows * cols).astype(dtype)
-        src, dst = _butterflies(src, np.empty_like(src), k - lo, cols)
-        np.copyto(dst.reshape(cols, rows), src.reshape(rows, cols).T)
-        spectrum, _ = _butterflies(dst, src, lo, rows)
-        weights = np.empty((rows, cols), dtype=np.int64)
-        np.subtract(np.int64(m), spectrum.reshape(cols, rows).T, out=weights)
-        weights >>= 1
-        return weights.ravel()[1:]
+        src = np.zeros(rows * cols, dtype=dtype)
+        # each column's low lo bits lead its index in the (2^lo, 2^hi) layout;
+        # an increment of src's own dtype keeps np.add.at on its fast path
+        np.add.at(src, (columns & (cols - 1)) << (k - lo) | columns >> lo, dtype(1))
+        src, dst = _butterflies(src, np.empty_like(src), lo, rows)
+        np.copyto(dst.reshape(rows, cols), src.reshape(cols, rows).T)
+        spectrum, _ = _butterflies(dst, src, k - lo, cols)
+        spectrum >>= 1
+        np.subtract(m >> 1, spectrum, out=spectrum)
+        return spectrum[1:].astype(np.int64)
 
     @functools.cached_property
     def _epsilon(self) -> float:
@@ -431,6 +461,20 @@ def _amplitudes(words: np.ndarray) -> np.ndarray:
     return amplitudes.view(np.float64)
 
 
+def _pair_overlaps(words_i: np.ndarray, words_j: np.ndarray) -> np.ndarray:
+    """Inner products of the sign-pattern states of paired codeword rows,
+    their amplitudes built for one block of at most ``_PAIR_BLOCK_BYTES``
+    per side at a time; each row's sum is the one-batch ``einsum``'s."""
+    pairs, m = words_i.shape
+    step = max(1, _PAIR_BLOCK_BYTES // (8 * m))
+    overlaps = np.empty(pairs)
+    for start in range(0, pairs, step):
+        block = slice(start, start + step)
+        amps_i, amps_j = _amplitudes(words_i[block]), _amplitudes(words_j[block])
+        np.einsum("pa,pa->p", amps_i, amps_j, out=overlaps[block])
+    return overlaps
+
+
 def fingerprint_states(code: BinaryCode, seed: int) -> Codebook:
     """Codebook of sign-pattern states for a code, certified at construction;
     ``seed`` is recorded as the root of a one-attempt run."""
@@ -454,9 +498,10 @@ def _crosscheck_pairs(cb: Codebook) -> None:
     identity and against the code's enumerated overlap.
 
     The pairs are drawn in one call, keyed by the seed of the accepted
-    attempt, and both sides' codewords come from one batched call each.
-    All pairs are judged at once; the error names the first failing pair,
-    and a pair failing both checks fails the identity.
+    attempt, both sides' codewords come from one batched call each, and
+    their overlaps are built a block of pairs at a time.  All pairs are
+    judged at once; the error names the first failing pair, and a pair
+    failing both checks fails the identity.
     """
     if cb.size < 2:
         return
@@ -468,7 +513,7 @@ def _crosscheck_pairs(cb: Codebook) -> None:
     firsts, seconds = firsts.tolist(), seconds.tolist()
     words_i = cb.code.codewords(firsts)
     words_j = cb.code.codewords(seconds)
-    overlaps = np.einsum("pa,pa->p", _amplitudes(words_i), _amplitudes(words_j))
+    overlaps = _pair_overlaps(words_i, words_j)
     distances = np.count_nonzero(words_i != words_j, axis=1)
     predicted = 1.0 - 2.0 * distances / cb.code.m
     broken = np.abs(overlaps - predicted) > OVERLAP_IDENTITY_TOL

@@ -22,7 +22,11 @@ projector of a state builds those measurements and the two-projector sum
 that the one-build ``reveal_operator`` must match bit for bit.  The int64
 butterflies with interleaved writes are the weight enumeration that the
 contiguous int16 one replaced, and the Python-integer popcounts the
-reveal-set Gram matrix that the packed-byte one replaced.
+reveal-set Gram matrix that the packed-byte one replaced.  The pair
+check's overlaps in one ``einsum`` over the whole batch are what its
+block-at-a-time overlaps must match bit for bit, and packed codewords built
+message by message what the batched byte-table lookups must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from qbsc.codebook import _amplitudes
 from qbsc.errors import InputError, NumericalError
 from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh
 from qbsc.protocol1 import _BOUND_TOL, encode_bit
@@ -262,6 +267,27 @@ def int64_butterfly_weights(code) -> np.ndarray:
         np.add(top, bottom, out=spectrum[:, 0])
         np.subtract(top, bottom, out=spectrum[:, 1])
     return (code.m - spectrum.ravel()[1:]) // 2
+
+
+def one_batch_overlaps(words_i: np.ndarray, words_j: np.ndarray) -> np.ndarray:
+    """Inner products of the sign-pattern states of paired codeword rows,
+    all amplitudes built at once and summed by one ``einsum``."""
+    return np.einsum("pa,pa->p", _amplitudes(words_i), _amplitudes(words_j))
+
+
+def looped_packed_words(code, messages) -> np.ndarray:
+    """Packed codewords of big-endian message indices, one message at a
+    time: each XORs the generator rows its set bits select (row 0 for the
+    most significant of k bits) and packs the result."""
+    k, m = code.k, code.m
+    out = np.zeros((len(messages), (m + 7) // 8), dtype=np.uint8)
+    for n, message in enumerate(messages):
+        word = np.zeros(m, dtype=np.uint8)
+        for i in range(k):
+            if message >> (k - 1 - i) & 1:
+                word ^= code.generator[i]
+        out[n] = np.packbits(word)
+    return out
 
 
 def python_int_cheat_set_gram(cb, s) -> np.ndarray:

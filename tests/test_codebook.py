@@ -29,9 +29,11 @@ from qbsc import (
 from qbsc import Transcript, harness, linalg, protocol1, protocol2
 from qbsc import codebook as codebook_module
 from qbsc.codebook import (
+    _amplitudes,
     _column_values,
     _crosscheck_pairs,
     _hex_to_rows,
+    _pair_overlaps,
     _rows_to_hex,
     make_rng,
 )
@@ -41,6 +43,8 @@ from oracles import (
     all_weights_epsilon,
     elimination_rank_gf2,
     int64_butterfly_weights,
+    looped_packed_words,
+    one_batch_overlaps,
     unique_column_counts,
 )
 
@@ -992,6 +996,157 @@ class TestRankedOnce:
     def test_rank_deficient_generator_still_refused(self):
         with pytest.raises(InputError, match="full row rank"):
             BinaryCode(generator=np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8))
+
+
+class TestBlockedPairOverlaps:
+    """The pair check builds its amplitudes a block of pairs at a time, and
+    each overlap is the one-batch ``einsum``'s to the bit."""
+
+    @staticmethod
+    def paired_words(code, seed, pairs=100):
+        draws = make_rng(seed).integers(0, 2**code.k, size=(2, pairs))
+        return code.codewords(draws[0].tolist()), code.codewords(draws[1].tolist())
+
+    @pytest.mark.parametrize(
+        "k, m",
+        [(1, 1), (3, 7), (7, 7), (5, 9), (9, 9), (10, 1024), (16, 1024),
+         (12, 4096), (16, 4096)],
+    )
+    def test_bit_identical_to_one_batch(self, k, m):
+        words_i, words_j = self.paired_words(generate_code(k, m, seed=k * m), seed=m)
+        blocked = _pair_overlaps(words_i, words_j)
+        expected = one_batch_overlaps(words_i, words_j)
+        assert blocked.dtype == expected.dtype == np.float64
+        assert blocked.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows, pairs", [(1, 100), (3, 100), (7, 50), (100, 100)])
+    def test_bit_identical_at_any_block_size(self, monkeypatch, rows, pairs):
+        m = 1024
+        monkeypatch.setattr(codebook_module, "_PAIR_BLOCK_BYTES", 8 * m * rows + 5)
+        words_i, words_j = self.paired_words(generate_code(16, m, seed=3), 7, pairs)
+        blocked = _pair_overlaps(words_i, words_j)
+        assert blocked.tobytes() == one_batch_overlaps(words_i, words_j).tobytes()
+
+    @pytest.mark.parametrize("k, m", [(6, 32), (16, 1024), (16, 4096)])
+    def test_no_amplitude_block_exceeds_the_budget(self, monkeypatch, k, m):
+        cb = fingerprint_states(generate_code(k, m, seed=m), m)
+        sides = []
+
+        def spy(words):
+            amps = _amplitudes(words)
+            sides.append((words.shape[0], amps.nbytes))
+            return amps
+
+        monkeypatch.setattr(codebook_module, "_amplitudes", spy)
+        _crosscheck_pairs(cb)
+        budget = codebook_module._PAIR_BLOCK_BYTES
+        assert max(nbytes for _, nbytes in sides) <= budget
+        assert sum(rows for rows, _ in sides) == 2 * codebook_module._CROSSCHECK_PAIRS
+
+
+class TestVectorisedMessages:
+    """``_packed_words`` reads its messages at once and looks their
+    codewords up byte by byte: byte for byte the packed codewords built
+    message by message, and an out-of-range message is named."""
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_matches_message_loop(self, k):
+        m = (13, 64, 203)[k % 3]
+        code = generate_code(k, max(k, m), seed=k)
+        draws = make_rng(k).integers(0, 2**k, size=60).tolist()
+        messages = [0, 2**k - 1, *draws]
+        expected = looped_packed_words(code, messages)
+        packed = code._packed_words(messages)
+        assert packed.dtype == np.uint8 and packed.tobytes() == expected.tobytes()
+        assert code._packed_words(x for x in messages).tobytes() == expected.tobytes()
+        assert code._packed_words(np.array(messages)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 6, 16])
+    def test_single_message_state(self, k):
+        cb = fingerprint_states(generate_code(k, 77, seed=k), k)
+        for x in (0, 2**k - 1, 2**k // 3):
+            bits = np.unpackbits(looped_packed_words(cb.code, [x]), axis=1, count=77)
+            assert cb.state(x).amps.tobytes() == _amplitudes(bits[0]).astype(complex).tobytes()
+
+    def test_messages_beyond_int64_on_a_long_code(self):
+        rng = np.random.default_rng(70)
+        code = BinaryCode(generator=rng.integers(0, 2, size=(70, 90), dtype=np.uint8))
+        messages = [0, 1, 2**63 - 1, 2**63, 2**69 + 12345, 2**70 - 1]
+        expected = looped_packed_words(code, messages)
+        assert code._packed_words(messages).tobytes() == expected.tobytes()
+        with pytest.raises(InputError, match=rf"^message {2**70} out of range for k=70$"):
+            code._packed_words([5, 2**70])
+
+    @pytest.mark.parametrize("k", [1, 6, 16])
+    def test_out_of_range_message_is_named(self, k):
+        code = generate_code(k, 32, seed=1)
+        for bad in (-1, 2**k, 2**70, -(2**70)):
+            named = rf"^message {bad} out of range for k={k}$"
+            with pytest.raises(InputError, match=named):
+                code._packed_words([0, 2**k - 1, bad, 1])
+            with pytest.raises(InputError, match=named):
+                code._packed_words(x for x in (1, bad))
+            with pytest.raises(InputError, match=named):
+                code.codeword(bad)
+
+    def test_tables_built_once_when_first_needed(self):
+        cb = generate_certified_codebook(64, 0.25, 6, seed=3)  # four attempts
+        assert cb.attempts == 4
+        code = generate_code(6, 64, derive_seed(3, 0))  # a rejected draw
+        assert code._epsilon > 0.25 and "_byte_tables" not in vars(code)
+        tables = cb.code._byte_tables  # built by the pair check
+        assert [t.shape for t in tables] == [(64, 8)]
+        cb.state(5)
+        cb.code.codewords(range(64))
+        assert cb.code._byte_tables is tables
+
+    def test_first_out_of_range_message_is_named(self):
+        code = generate_code(6, 32, seed=1)
+        with pytest.raises(InputError, match=r"^message 64 out of range"):
+            code._packed_words([3, 64, -1, 2**70])
+
+
+class TestInt16Histogram:
+    """The histogram is counted in the transform's dtype and the weights
+    formed there before one widening copy; values and int64 dtype are those
+    of the int64 path."""
+
+    @pytest.fixture()
+    def transform_dtypes(self, monkeypatch):
+        dtypes = []
+        original = codebook_module._butterflies
+
+        def spy(src, dst, passes, block):
+            dtypes.append((src.dtype, dst.dtype))
+            return original(src, dst, passes, block)
+
+        monkeypatch.setattr(codebook_module, "_butterflies", spy)
+        return dtypes
+
+    @pytest.mark.parametrize(
+        "k, m, dtype",
+        [(1, 1, np.int16), (5, 8, np.int16), (5, 9, np.int16), (16, 1024, np.int16),
+         (16, 1023, np.int16), (11, 4096, np.int16), (16, 32767, np.int16),
+         (13, 32766, np.int16), (16, 32768, np.int64), (12, 32769, np.int64)],
+    )
+    def test_matches_int64_path(self, transform_dtypes, k, m, dtype):
+        rng = np.random.default_rng(k * m)
+        code = BinaryCode(generator=rng.integers(0, 2, size=(k, m), dtype=np.uint8))
+        weights = code.nonzero_codeword_weights()
+        expected = int64_butterfly_weights(code)
+        assert weights.dtype == expected.dtype == np.int64
+        assert weights.shape == (2**k - 1,)
+        assert np.array_equal(weights, expected)
+        assert transform_dtypes == [(dtype, dtype)] * 2
+
+    @pytest.mark.parametrize("m", [32767, 32768])
+    def test_one_bin_near_the_int16_limit(self, m):
+        # m - 16 all-ones columns share the top bin next to 16 unit columns
+        generator = np.concatenate(
+            [np.eye(16, dtype=np.uint8), np.ones((16, m - 16), dtype=np.uint8)], axis=1
+        )
+        code = BinaryCode(generator=generator)
+        assert np.array_equal(code.nonzero_codeword_weights(), int64_butterfly_weights(code))
 
 
 class TestColumnCounts:

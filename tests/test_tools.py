@@ -32,6 +32,12 @@ FIGURES = ("q_operator", "eigvalsh", "strategy", "gram")
              "growth_mb"},
         ),
         (
+            "probe_crosscheck.py",
+            ("--k", "4", "--m", "16", "--epsilon", "1.0", "--repeats", "2"),
+            {"k", "m", "epsilon", "seed", "repeats", "crosschecks_per_op",
+             "crosscheck_s", "crosscheck_minflt", "certify_s", "certify_minflt"},
+        ),
+        (
             "probe_reveal.py",
             ("--ms", "16", "--k", "3", "--r", "2", "--repeats", "1"),
             {"m", "k", "r", "seed", "repeats"}
@@ -39,7 +45,7 @@ FIGURES = ("q_operator", "eigvalsh", "strategy", "gram")
                for unit in ("s", "growth_mb", "peak_rss_mb")},
         ),
     ],
-    ids=["mixture", "enumeration", "reveal"],
+    ids=["mixture", "enumeration", "crosscheck", "reveal"],
 )
 def test_probe_prints_documented_keys(script, args, keys):
     done = subprocess.run(
