@@ -18,10 +18,11 @@ The certificate reads only the smallest and the largest weight: ``|1 - 2 w
 / m|`` falls on ``w <= m/2`` and rises on ``w >= m/2``, float rounding
 included, so the two extremes give the maximum to the bit.
 It is cached on the immutable code, so each code is enumerated once
-however many times it is certified.  Every codebook the package builds
-(generated, fingerprinted or loaded) is cross-checked once, as it is built,
-against directly computed inner products of 100 seeded pairs; verifying a
-loaded codebook reads the cached certificate.  The pairs are drawn in one
+however many times it is certified.  The :class:`Codebook` constructor
+cross-checks the code against directly computed inner products of 100
+seeded pairs, so every codebook (generated, fingerprinted or loaded) is
+cross-checked once, as it is built; verifying a loaded codebook reads the
+cached certificate.  The pairs are drawn in one
 call, each side's codewords come from one batched call, each amplitude is
 written as the sign bit of ``1/sqrt(m)``, and all pairs are judged by array
 comparisons that name the first failing pair.  The amplitudes and their
@@ -36,10 +37,9 @@ message byte, and one ``unpackbits`` turns them into a bit matrix (the
 reveal-set Gram matrix reads the packed bytes themselves, its
 distances being popcounts of their XOR).  The rank over GF(2) is the size
 of an XOR basis of the rows as integers.  Stored generator rows are hex
-strings of exactly ``ceil(m/4)`` lowercase digits, the whole matrix written
-in one ``packbits`` and read in one ``unpackbits``, and a stored length
-above ``MAX_GENERATE_M`` is refused before any array is built.  The dense
-per-message product ``bits @ G mod 2`` remains only as the tests' oracle.
+strings of exactly ``ceil(m/4)`` lowercase digits, each row formatted from
+its integer and the whole matrix read in one ``unpackbits``, and a stored
+length above ``MAX_GENERATE_M`` is refused before any array is built.
 
 Randomness is drawn from Philox (a counter-based generator) keyed through
 ``numpy.random.SeedSequence``; :func:`make_rng` builds every generator of the
@@ -130,16 +130,9 @@ def _column_values(gen: np.ndarray) -> np.ndarray:
 
 def _rows_to_hex(gen: np.ndarray) -> list[str]:
     """Rows of a ``(k, m)`` bit matrix as ``ceil(m/4)`` lowercase hex digits
-    each, packed in one ``packbits`` after zero bits are put in front of each
-    row up to whole bytes."""
-    k, m = gen.shape
-    width = (m + 7) // 8
-    padded = np.zeros((k, 8 * width), dtype=np.uint8)
-    padded[:, 8 * width - m :] = gen
-    text = np.packbits(padded, axis=1).tobytes().hex()
-    step = 2 * width
-    skip = step - (m + 3) // 4  # a leading zero digit when ceil(m/4) is odd
-    return [text[start + skip : start + step] for start in range(0, len(text), step)]
+    each, formatted from the rows as integers (:func:`_row_ints`)."""
+    digits = (gen.shape[1] + 3) // 4
+    return [format(value, f"0{digits}x") for value in _row_ints(gen)]
 
 
 def _hex_to_rows(texts: list, m: int) -> np.ndarray:
@@ -346,6 +339,10 @@ class Codebook:
     ``seed`` is the root seed of the certification run and ``attempts`` the
     number of attempts it consumed; the accepted code was drawn with
     ``derive_seed(seed, attempts - 1)``, which also keys the cross-check.
+    Construction needs ``seed >= 0`` and ``attempts >= 1``, enumerates the
+    code's certificate (which refuses ``k`` beyond the limit) and
+    cross-checks its seeded pairs (:class:`NumericalError`); it does not
+    compare ``epsilon_certified`` with the certificate.
     """
 
     code: BinaryCode
@@ -354,9 +351,13 @@ class Codebook:
     attempts: int
 
     def __post_init__(self):
-        self.code._epsilon  # the certificate refuses k beyond the limit
-        if self.attempts < 1:
-            raise InputError("attempts must be at least 1")
+        if self.seed < 0 or self.attempts < 1:
+            raise InputError(
+                f"codebook needs seed >= 0 and attempts >= 1, "
+                f"got {self.seed}, {self.attempts}"
+            )
+        self.code._epsilon  # enumerated once; refuses k beyond the limit
+        _crosscheck_pairs(self)
 
     @property
     def dim(self) -> int:
@@ -395,8 +396,8 @@ class Codebook:
         refused before any array is built.  States are re-derived from the
         generator; the maximum overlap is recomputed from the codeword
         weights and must match the stored certificate exactly
-        (:class:`CertificationError`), and then the seeded pairs are
-        cross-checked (:class:`NumericalError`).
+        (:class:`CertificationError`) before the constructor cross-checks
+        the seeded pairs.
         """
         try:
             payload = json.loads(text)
@@ -425,22 +426,16 @@ class Codebook:
                 f"codebook has {len(rows)} generator rows for k = {k}, m = {m}"
             )
         seed, attempts = read("seed", int), read("attempts", int)
-        if seed < 0 or attempts < 1:
-            raise InputError(
-                f"codebook needs seed >= 0 and attempts >= 1, got {seed}, {attempts}"
-            )
         code = BinaryCode(_hex_to_rows(rows, m))
         epsilon = float(read("epsilon_certified", REAL))
-        cb = cls(code=code, epsilon_certified=epsilon, seed=seed, attempts=attempts)
         recomputed = code._epsilon
-        if recomputed != cb.epsilon_certified:
+        if recomputed != epsilon:
             raise CertificationError(
-                f"stored certificate {cb.epsilon_certified!r} does not match "
+                f"stored certificate {epsilon!r} does not match "
                 f"recomputed overlap {recomputed!r}",
                 best_epsilon=recomputed,
             )
-        _crosscheck_pairs(cb)
-        return cb
+        return cls(code=code, epsilon_certified=epsilon, seed=seed, attempts=attempts)
 
     def content_id(self) -> str:
         """SHA-256 of the JSON document, computed once per codebook."""
@@ -476,11 +471,10 @@ def _pair_overlaps(words_i: np.ndarray, words_j: np.ndarray) -> np.ndarray:
 
 
 def fingerprint_states(code: BinaryCode, seed: int) -> Codebook:
-    """Codebook of sign-pattern states for a code, certified at construction;
-    ``seed`` is recorded as the root of a one-attempt run."""
-    cb = Codebook(code=code, epsilon_certified=code._epsilon, seed=seed, attempts=1)
-    _crosscheck_pairs(cb)
-    return cb
+    """Codebook of sign-pattern states for a code, certified and
+    cross-checked by the constructor; ``seed`` is recorded as the root of a
+    one-attempt run."""
+    return Codebook(code=code, epsilon_certified=code._epsilon, seed=seed, attempts=1)
 
 
 def verify_epsilon(cb: Codebook) -> float:
@@ -540,9 +534,11 @@ def generate_certified_codebook(
 ) -> Codebook:
     """Rejection-sample seeded codes until certification meets the target.
 
-    Raises :class:`CertificationError` carrying the best overlap found when
-    ``DEFAULT_ATTEMPT_CAP`` attempts are exhausted, which signals that ``k``
-    is too large for the requested ``(n, epsilon_target)``.
+    The accepted code's pairs are cross-checked by the :class:`Codebook`
+    constructor.  Raises :class:`CertificationError` carrying the best
+    overlap found when ``DEFAULT_ATTEMPT_CAP`` attempts are exhausted, which
+    signals that ``k`` is too large for the requested ``(n,
+    epsilon_target)``.
     """
     if not 0.0 <= epsilon_target <= 1.0:
         raise InputError(f"epsilon_target {epsilon_target!r} outside [0, 1]")
@@ -551,14 +547,12 @@ def generate_certified_codebook(
         code = generate_code(k, n, derive_seed(seed, attempt))
         epsilon = code._epsilon
         if epsilon <= epsilon_target:
-            cb = Codebook(
+            return Codebook(
                 code=code,
                 epsilon_certified=epsilon,
                 seed=int(seed),
                 attempts=attempt + 1,
             )
-            _crosscheck_pairs(cb)
-            return cb
         best = min(best, epsilon)
     raise CertificationError(
         f"no code with overlap <= {epsilon_target} in {DEFAULT_ATTEMPT_CAP} "

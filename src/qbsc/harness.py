@@ -25,7 +25,7 @@ import numpy as np
 from . import adversary, protocol1, protocol2
 from .codebook import Codebook, make_rng, verify_epsilon
 from .errors import InputError, PhaseOrderError
-from .linalg import DensityMatrix, Ket, von_neumann_entropy
+from .linalg import DensityMatrix, Ket, _eigvalsh, von_neumann_entropy
 from .protocol1 import _BOUND_TOL, Commitment1, SecurityParams
 from .protocol2 import Commitment2
 from .transcript import (
@@ -334,7 +334,7 @@ def _equality_row(r: int, epsilon: float) -> dict:
         }
     kets = protocol2.equality_configuration(r, epsilon)
     rows = np.stack([k.amps for k in kets])
-    lam = float(np.linalg.eigvalsh(rows.T @ rows.conj())[-1])
+    lam = float(_eigvalsh(rows.T @ rows.conj())[-1])
     bound = protocol2.binding_bound2(r, epsilon)
     gap = abs(lam - bound)
     return {
@@ -376,7 +376,7 @@ def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> dict:
         r = int(rng.integers(2, r_max + 1))
         indices = rng.choice(cb.size, size=r, replace=False)
         s = protocol2.cheat_set_for(cb, (int(i) for i in indices))
-        lam = float(np.linalg.eigvalsh(protocol2.cheat_set_gram(cb, s))[-1])
+        lam = float(_eigvalsh(protocol2.cheat_set_gram(cb, s))[-1])
         bound = protocol2.binding_bound2(r, eps)
         worst = max(worst, lam - bound)
         if lam > bound + _BOUND_TOL:
@@ -404,7 +404,8 @@ def bound_sweep(
 ) -> BoundReport:
     """One row per grid point, each carrying the cap and its oracle.
 
-    Grid order is deterministic: thetas outermost, then n, then r, then the
+    Every theta must lie in (0, pi/2), as in a session.  Grid order is
+    deterministic: thetas outermost, then n, then r, then the
     equality configurations and the codebook row.  The binding cap and the
     reveal-set eigenvalue are solved once per theta, and the brute-force
     mixture entropy once per (theta, n), since neither depends on r.
@@ -418,6 +419,8 @@ def bound_sweep(
     r_max = protocol1.IDENTIFY_ALL_MAX_R
     if min(ns) < 1 or not 1 <= min(rs) <= max(rs) <= r_max:
         raise InputError(f"sweep needs every n >= 1 and every r in [1, {r_max}]")
+    for theta in thetas:
+        SecurityParams(theta=theta, n=1)  # a session's theta rule: (0, pi/2)
     for _, epsilon in equality_configs:
         if not math.isfinite(epsilon):
             raise InputError(f"equality epsilon must be finite, got {epsilon!r}")

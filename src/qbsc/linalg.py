@@ -2,8 +2,12 @@
 
 State vectors, Hermitian operators and density matrices are thin immutable
 wrappers around numpy arrays, validated at construction.  State vectors are
-complex; operators keep real input real (float64) and store complex input
-as complex128, so real symmetric matrices never pay for a complex copy.
+complex.  An operator decides its storage once, when it is built: input
+whose imaginary parts are all zero is stored as float64 and anything else
+as complex128, so the real states of both protocols are solved as real
+symmetric matrices, several times faster than complex Hermitian ones.  The
+eigensolvers solve whatever they are given, and every eigensolve of the
+package goes through them, so a solver failure is a NumericalError.
 Construction tolerances are 1e-10 and spectral tolerances 1e-8, sized so
 that double-precision eigensolves up to dimension 4096 pass comfortably.
 
@@ -76,7 +80,8 @@ def _max_asymmetry(arr: np.ndarray) -> float:
 class HermitianOp:
     """Hermitian matrix on a finite-dimensional space.
 
-    Real input is stored as float64 and anything else as complex128.
+    Input whose imaginary parts are all zero is stored as float64 and
+    anything else as complex128.
     """
 
     mat: np.ndarray
@@ -84,6 +89,8 @@ class HermitianOp:
     def __post_init__(self):
         arr = np.asarray(self.mat)
         arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
+        if arr.dtype.kind == "c" and not arr.imag.any():
+            arr = arr.real  # a view, which _freeze copies
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError("operator must be a square matrix")
         # any NaN or inf entry makes the asymmetry NaN or inf and fails
@@ -184,17 +191,9 @@ def _labelled_spectrum(mat: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
-def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
-    # Real symmetric solves are several times faster than complex Hermitian
-    # ones; the states in both protocols have real amplitudes.
-    if np.iscomplexobj(mat) and not np.any(mat.imag):
-        return np.ascontiguousarray(mat.real)
-    return mat
-
-
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     try:
-        return np.linalg.eigvalsh(_as_real_if_possible(mat))
+        return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigenvalue solver failed on a {mat.shape[0]}-dim operator: {exc}"
@@ -204,7 +203,7 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs as the solver gives them: a real basis for a real matrix."""
     try:
-        return np.linalg.eigh(_as_real_if_possible(mat))
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigenvalue solver failed on a {mat.shape[0]}-dim operator: {exc}"

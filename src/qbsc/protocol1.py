@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import DensityMatrix, HermitianOp, Ket, binary_entropy
+from .linalg import DensityMatrix, HermitianOp, Ket, _eigvalsh, binary_entropy
 
 _BOUND_TOL = 1e-9  # slack of every binding-cap comparison in the package
 BRUTE_FORCE_MAX_N = 12
@@ -182,7 +182,7 @@ def reveal_operator(theta: float) -> HermitianOp:
 
 
 def top_reveal_eigenvalue(theta: float) -> float:
-    return float(np.linalg.eigvalsh(reveal_operator(theta).mat)[-1])
+    return float(_eigvalsh(reveal_operator(theta).mat)[-1])
 
 
 def uniform_commitment_state(n: int, theta: float) -> DensityMatrix:

@@ -15,10 +15,9 @@ entries ``1 - 2 d_ij / m`` follow from codeword distances, so the reveal-set
 top eigenvalue is an ``r x r`` solve.  The uniform code ensemble has density
 entries ``[column j of G == column l of G] / m``, so its entropy follows in
 closed form from the multiplicities of the generator's columns.  The dense
-``Q`` remains for the top-eigenvector cheat strategy of ``qbsc cheat``: a
-real float64 ``dim x dim`` matrix from one batch of codewords, since the
-states' amplitudes are real.  The explicit mixture remains only as the
-tests' oracle.
+``Q`` serves the top-eigenvector cheat strategy of ``qbsc cheat``: a real
+float64 ``dim x dim`` matrix from one batch of codewords, since the states'
+amplitudes are real.
 """
 
 from __future__ import annotations
@@ -74,16 +73,12 @@ class CheatSet:
 
 def cheat_set_for(cb: Codebook, indices) -> CheatSet:
     """Validated cheat set for a codebook, including the overlap assumption
-    (r - 1) * epsilon < 1."""
+    (r - 1) * epsilon < 1 that :func:`binding_bound2` checks."""
     s = CheatSet(tuple(indices))
     for i in s.indices:
         if not 0 <= i < cb.size:
             raise InputError(f"index {i} outside codebook of size {cb.size}")
-    if (s.r - 1) * cb.epsilon_certified >= 1.0:
-        raise InputError(
-            f"(r-1)*epsilon = {(s.r - 1) * cb.epsilon_certified!r} >= 1 for "
-            f"r={s.r}, epsilon={cb.epsilon_certified!r}"
-        )
+    binding_bound2(s.r, cb.epsilon_certified)
     return s
 
 

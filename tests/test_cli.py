@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -603,6 +604,14 @@ class TestBoundsCommand:
                    "--out", tmp_path / out) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
 
+    @pytest.mark.parametrize("theta", ["0", repr(math.pi / 2), "0.2,0"])
+    def test_theta_outside_the_session_interval_refused(self, tmp_path, capsys, theta):
+        # commit and cheat refuse these angles, so the sweep does too
+        assert run("bounds", "--theta", theta, "--n", "2", "--r", "1",
+                   "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err.startswith("error: theta ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCheatCommand:
     def test_protocol1_cheat(self, tmp_path, capsys):
@@ -670,6 +679,58 @@ class TestCheatCommand:
                    "--reveal", "000011", "--transcript", t) == 2
         assert "--cheat-set" in capsys.readouterr().err
         assert not t.exists()
+
+
+class TestSolverFailure:
+    """A failed eigensolve exits 5 with an error line on every path."""
+
+    BOUNDS = ("bounds", "--theta", 0.2, "--n", 2, "--r", 1, "--format", "json")
+
+    @staticmethod
+    def failing_after(monkeypatch, name, passed):
+        """``np.linalg.<name>`` answering its first ``passed`` calls and
+        raising LinAlgError from then on."""
+        solve, calls = getattr(np.linalg, name), []
+
+        def solver(mat):
+            calls.append(mat.shape)
+            if len(calls) > passed:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(mat)
+
+        monkeypatch.setattr(np.linalg, name, solver)
+        return calls
+
+    def run_failing(self, capsys, *argv):
+        assert run(*argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenvalue solver failed") and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", ["none", "epsilon", "codebook"])
+    def test_bounds(self, tmp_path, codebook_path, capsys, monkeypatch, extra):
+        out = ("--out", tmp_path / "report")
+        # the protocol-1 rows come first: count their solves, then let the
+        # added row's solve be the one that fails
+        calls = self.failing_after(monkeypatch, "eigvalsh", math.inf)
+        assert run(*self.BOUNDS, *out) == 0
+        passed = len(calls) if extra != "none" else 0
+        self.failing_after(monkeypatch, "eigvalsh", passed)
+        rows = {
+            "none": (),
+            "epsilon": ("--epsilon", 0.3),
+            "codebook": ("--codebook", codebook_path, "--cheat-samples", 2),
+        }[extra]
+        self.run_failing(capsys, *self.BOUNDS, *rows, *out)
+
+    @pytest.mark.parametrize("protocol", [1, 2])
+    def test_cheat(self, tmp_path, codebook_path, capsys, monkeypatch, protocol):
+        self.failing_after(monkeypatch, "eigh", 0)
+        if protocol == 1:
+            args = ("--theta", 0.2, "--reveal", "0110")
+        else:
+            args = ("--codebook", codebook_path, "--cheat-set", "3,17", "--reveal", "000011")
+        self.run_failing(capsys, "cheat", "--protocol", protocol, *args,
+                         "--transcript", tmp_path / "cheat.json")
 
 
 HUGE = 10**400

@@ -972,6 +972,76 @@ class TestCrosscheckedOnce:
             Codebook.from_json(json.dumps(payload))
 
 
+def _calls_crosscheck(node) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_crosscheck_pairs")
+
+
+class TestConstructorOwnsThePairCheck:
+    """``Codebook`` itself cross-checks its pairs and checks its seed and
+    attempt count, however it is built."""
+
+    @pytest.fixture()
+    def crosschecks(self, monkeypatch):
+        calls = []
+        original = codebook_module._crosscheck_pairs
+        monkeypatch.setattr(
+            codebook_module, "_crosscheck_pairs", lambda cb: calls.append(cb) or original(cb)
+        )
+        return calls
+
+    def test_only_the_constructor_calls_it(self):
+        callers, calls = set(), 0
+        for path in sorted(Path(codebook_module.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls += sum(map(_calls_crosscheck, ast.walk(tree)))
+            names = {fn: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for fn in cls.body:
+                        if fn in names:
+                            names[fn] = f"{cls.name}.{fn.name}"
+            for fn, name in names.items():
+                if any(map(_calls_crosscheck, ast.walk(fn))):
+                    callers.add((path.name, name))
+        assert callers == {("codebook.py", "Codebook.__post_init__")}
+        assert calls == 1
+
+    def test_direct_construction_checks_once(self, crosschecks):
+        code = generate_code(6, 32, 1)
+        cb = Codebook(code=code, epsilon_certified=code._epsilon, seed=1, attempts=1)
+        assert crosschecks == [cb]
+        moved = dataclasses.replace(cb, attempts=3)
+        assert crosschecks == [cb, moved]
+
+    def test_flipped_sign_refuses_direct_construction(self, monkeypatch):
+        code = generate_code(6, 32, 1)
+        original = codebook_module._amplitudes
+        sides = []
+
+        def flip_first_sign_of_i_side(words):
+            amps = original(words)
+            if not sides:
+                amps[0, 0] = -amps[0, 0]
+            sides.append(words)
+            return amps
+
+        monkeypatch.setattr(codebook_module, "_amplitudes", flip_first_sign_of_i_side)
+        with pytest.raises(NumericalError, match=r"identity violated for pair"):
+            Codebook(code=code, epsilon_certified=code._epsilon, seed=1, attempts=1)
+
+    @pytest.mark.parametrize("seed, attempts", [(-1, 1), (0, 0), (3, -2)])
+    def test_seed_and_attempts_refused_before_any_pair(self, crosschecks, seed, attempts):
+        code = generate_code(6, 32, 1)
+        with pytest.raises(InputError, match="seed >= 0 and attempts >= 1"):
+            Codebook(code=code, epsilon_certified=code._epsilon, seed=seed, attempts=attempts)
+        payload = json.loads(generate_certified_codebook(32, 0.5, 6, seed=1).to_json())
+        payload.update(seed=seed, attempts=attempts)
+        crosschecks.clear()
+        with pytest.raises(InputError, match="seed >= 0 and attempts >= 1"):
+            Codebook.from_json(json.dumps(payload))
+        assert crosschecks == []
+
+
 class TestRankedOnce:
     """Each drawn generator is ranked once, by the ``BinaryCode`` it becomes."""
 

@@ -10,6 +10,7 @@ from qbsc.cli import main
 from qbsc.codebook import Codebook, generate_certified_codebook
 from qbsc.harness import bound_sweep, commit_session, unveil_session, verify_session
 from qbsc.linalg import DensityMatrix
+from qbsc.transcript import Transcript
 
 from oracles import computational_mixture
 
@@ -237,6 +238,20 @@ class TestSessionPipeline:
         t = adversary.run_cheat_session(2, strategy, "010001", seed=2, codebook=cb)
         assert seen == ["state_amplitudes"]
         assert t.verify["mode"] == "sampled"
+
+    @pytest.mark.parametrize("phase, dtype", [(1.0, np.float64), (1j, np.complex128)])
+    def test_density_message_read_back_keeps_real_storage(self, pinned_codebook, phase, dtype):
+        # the message's entries are complex pairs; only a genuinely complex
+        # matrix is stored complex when the verifier reads it back
+        cb = pinned_codebook
+        a, b = cb.state(3).amps.real, cb.state(17).amps.real
+        v = (a + phase * b) / np.linalg.norm(a + phase * b)
+        rho = DensityMatrix((np.outer(a, a) + np.outer(v, v.conj())) / 2)
+        sent = harness.committed_transcript(2, 6, rho, codebook=cb)
+        read = Transcript.from_json(sent.to_json()).with_unveil("000011")
+        commitment, _ = harness._reconstruct_commitment(read, cb)
+        assert commitment.state.mat.dtype == dtype
+        assert np.array_equal(commitment.state.mat, rho.mat)
 
     def test_verify_rejects_unknown_mode(self):
         t = unveil_session(commit_session(1, "01", seed=3, theta=0.2), "01")

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,14 +203,24 @@ class TestOperatorDtype:
     def test_complex_input_stays_complex(self):
         op = HermitianOp(np.array([[1.0, 1j], [-1j, 1.0]]))
         assert op.mat.dtype == np.complex128
-        rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+        rho = DensityMatrix(np.array([[0.75, 0.1j], [-0.1j, 0.25]]))
         assert rho.mat.dtype == np.complex128
+
+    def test_complex_input_with_zero_imaginary_parts_is_stored_real(self):
+        for raw in (np.eye(2, dtype=complex), np.array([[0.5, -0.5 + 0j], [-0.5, 0.5]])):
+            op = HermitianOp(raw)
+            assert op.mat.dtype == np.float64 and np.array_equal(op.mat, raw)
+        rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+        assert rho.mat.dtype == np.float64 and rho.mat.flags.c_contiguous
 
     def test_real_and_complex_copies_agree(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((6, 6))
         real = DensityMatrix(g @ g.T / np.trace(g @ g.T))
-        cplx = DensityMatrix(real.mat.astype(complex))
+        # a diagonal unitary keeps the spectrum and makes the entries complex
+        phases = np.exp(2j * np.pi * rng.random(6))
+        cplx = DensityMatrix(phases[:, None] * real.mat * phases.conj())
+        assert cplx.mat.dtype == np.complex128
         assert np.max(np.abs(real.spectrum - cplx.spectrum)) <= 1e-14
         assert von_neumann_entropy(real) == pytest.approx(
             von_neumann_entropy(cplx), abs=1e-12
@@ -379,7 +391,8 @@ class TestInvolutionSpectrum:
         basis, parity = parity_basis(perm)
         blocks = DensityMatrix(basis @ commuting @ basis.T, labels=parity)
         assert np.max(np.abs(blocks.spectrum - np.linalg.eigvalsh(commuting))) <= 1e-14
-        assert blocks.mat.dtype == (np.float64 if real else np.complex128)
+        # a 1 x 1 state has no imaginary part, so it is stored real
+        assert blocks.mat.dtype == (np.float64 if real or dim == 1 else np.complex128)
 
     def test_non_commuting_state_refused(self):
         mat = np.diag([0.5, 0.3, 0.2])  # symmetric, trace 1, PSD
@@ -415,7 +428,8 @@ class TestLabelledSpectrum:
         mat = block_diagonal_state(labels, real)
         blocks = DensityMatrix(mat, labels=labels)
         assert np.max(np.abs(blocks.spectrum - np.linalg.eigvalsh(mat))) <= 1e-14
-        assert blocks.mat.dtype == (np.float64 if real else np.complex128)
+        # a 1 x 1 state has no imaginary part, so it is stored real
+        assert blocks.mat.dtype == (np.float64 if real or dim == 1 else np.complex128)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_one_coupling_entry_refused(self, real):
@@ -565,3 +579,25 @@ class TestBinaryEntropy:
         h = binary_entropy(p)
         assert 0.0 <= h <= 1.0 + 1e-15
         assert h == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
+
+
+def _numpy_eigensolves(path):
+    """Lines of ``np.linalg.eig*`` (or ``numpy.linalg.eig*``) references and
+    ``from numpy.linalg import`` statements in one source file."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("eig"):
+            if ast.unparse(node.value) in ("np.linalg", "numpy.linalg"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_eigensolve_goes_through_linalg():
+    """Only ``linalg._eigvalsh`` and ``linalg._eigh`` call numpy's
+    eigensolvers, so every solver failure becomes a NumericalError."""
+    paths = sorted(Path(linalg.__file__).parent.glob("*.py"))
+    found = {path.name: _numpy_eigensolves(path) for path in paths}
+    assert len(found.pop("linalg.py")) == 2
+    assert {name: lines for name, lines in found.items() if lines} == {}
