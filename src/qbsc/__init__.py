@@ -49,6 +49,7 @@ from .protocol1 import (
     holevo_power_form,
     identify_all_bound,
     identify_all_bound_raw,
+    list_guess_bound,
     projection_probability,
     reveal_operator,
     smallest_hiding_n,

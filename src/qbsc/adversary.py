@@ -2,15 +2,14 @@
 
 These make the bound checks adversarially tight: the top eigenvector of a
 reveal operator achieves its cap, and the closed-form per-bit discrimination
-value gives the true all-bits guessing probability that the entropy-based
-report columns are compared against.  A cheat session sends the strategy's
+value gives the true all-bits guessing probability that the report's
+all-bits caps are compared against.  A cheat session sends the strategy's
 state through the same commit, unveil and verify pipeline as an honest
 session, so its verdict is measured on the message it serialised.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .codebook import Codebook
@@ -19,7 +18,7 @@ from .linalg import DensityMatrix, HermitianOp, Ket, _eigh, _fix_phase
 
 # verify_unveil stays importable from here: perfbench's tracer test checks
 # that a wrapped function is swapped in every module that holds it
-from .protocol1 import _BOUND_TOL, SecurityParams, verify_unveil  # noqa: F401
+from .protocol1 import _BOUND_TOL, SecurityParams, _helstrom_per_bit, verify_unveil  # noqa: F401
 from .transcript import Transcript
 
 
@@ -64,13 +63,14 @@ def guess_all_oracle(n: int, theta: float) -> float:
     """Exact probability of identifying every committed bit.
 
     Helstrom's (1976) optimal measurement of each qubit succeeds with
-    probability (1 + cos t) / 2 on either bit value, so the whole string is
-    learned with probability ((1 + cos t) / 2)^n; the tests check this
-    against the explicit measurement summed over every string.
+    probability (1 + cos t) / 2 on either bit value, a value protocol 1
+    owns, so the whole string is learned with probability
+    ((1 + cos t) / 2)^n; the tests check this against the explicit
+    measurement summed over every string.
     """
     if n < 1:
         raise InputError("n must be positive")
-    return ((1.0 + math.cos(theta)) / 2.0) ** n
+    return _helstrom_per_bit(theta) ** n
 
 
 def run_cheat_session(

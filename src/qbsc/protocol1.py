@@ -228,16 +228,18 @@ def _kron_product(factors: list[np.ndarray]) -> np.ndarray:
     """The Kronecker product of real square factors as a dense array.
 
     Built from the right, each step writes ``np.kron(factor, product)``
-    into a preallocated array, one block ``blocks[i, :, j, :]`` of contiguous
-    rows per factor entry: the same to the bit without ``np.kron``'s copy.
+    into a fresh array with one broadcast product: the same to the bit, and
+    the result owns its data, where ``np.kron`` returns a view.
     """
     product = factors[-1]
     for factor in factors[-2::-1]:
         size, d = product.shape[0], factor.shape[0]
         grown = np.empty((d * size, d * size))
-        blocks = grown.reshape(d, size, d, size)
-        for (i, j), value in np.ndenumerate(factor):
-            np.multiply(product, value, out=blocks[i, :, j, :])
+        np.multiply(
+            factor[:, None, :, None],
+            product[None, :, None, :],
+            out=grown.reshape(d, size, d, size),
+        )
         product = grown
     return product
 
@@ -251,7 +253,7 @@ def holevo_bound1(n: int, theta: float) -> float:
 
 def holevo_power_form(n: int, theta: float) -> float:
     """The same per-bit entropy raised to the n-th power, kept for reports."""
-    return binary_entropy((1.0 + math.sin(theta)) / 2.0) ** n
+    return holevo_bound1(1, theta) ** n
 
 
 def hiding_gap(n: int, theta: float) -> float:
@@ -263,7 +265,7 @@ def smallest_hiding_n(theta: float, r: int) -> int:
     """Smallest n whose hiding gap strictly exceeds r."""
     if r < 1:
         raise InputError("r must be positive")
-    per_bit = 1.0 - binary_entropy((1.0 + math.sin(theta)) / 2.0)
+    per_bit = 1.0 - holevo_bound1(1, theta)
     if per_bit <= 0.0:
         raise InputError(f"no hiding gap accrues at theta={theta!r}")
     # warm start just below the scalar crossing; the scan stays authoritative
@@ -277,14 +279,38 @@ def smallest_hiding_n(theta: float, r: int) -> int:
     )
 
 
-def identify_all_bound_raw(n: int, theta: float, r: int) -> float:
-    """Unclamped all-bits identification bound 2^r * h2((1+sin t)/2)^n."""
+def _list_form(n: int, per_bit: float, r: int) -> float:
+    """2^r * per_bit^n, the shape of both all-bits caps, unclamped."""
     if n < 1 or not 0 <= r <= IDENTIFY_ALL_MAX_R:
         raise InputError(f"need n >= 1 and 0 <= r <= {IDENTIFY_ALL_MAX_R}")
-    h = binary_entropy((1.0 + math.sin(theta)) / 2.0)
-    return 2.0**r * h**n
+    return 2.0**r * per_bit**n
+
+
+def identify_all_bound_raw(n: int, theta: float, r: int) -> float:
+    """Unclamped all-bits identification bound 2^r * h2((1+sin t)/2)^n."""
+    return _list_form(n, holevo_bound1(1, theta), r)
 
 
 def identify_all_bound(n: int, theta: float, r: int) -> float:
     """The all-bits bound clamped to [0, 1]; values >= 1 are vacuous."""
     return min(1.0, identify_all_bound_raw(n, theta, r))
+
+
+def list_guess_bound(n: int, theta: float, r: int) -> float:
+    """Sound cap on naming all n bits in a list of 2^r guesses:
+    min(1, 2^r * ((1 + cos t) / 2)^n).
+
+    A list of L strings holds the committed one with probability at most
+    L times the best single guess (pick one name from the list at random),
+    and min-entropy is additive over the independent qubits (Koenig, Renner
+    & Schaffner 2009), so the best single guess is the per-qubit Helstrom
+    value to the n-th power.  Unlike :func:`identify_all_bound` it never
+    falls below the exact value ``guess_all_oracle(n, theta)``.
+    """
+    return min(1.0, _list_form(n, _helstrom_per_bit(theta), r))
+
+
+def _helstrom_per_bit(theta: float) -> float:
+    """Helstrom's (1976) optimal probability of telling the two encodings
+    apart, (1 + cos t) / 2 on either bit value."""
+    return (1.0 + math.cos(theta)) / 2.0

@@ -6,7 +6,8 @@ asserted as stated and FAILS: the exact per-bit discrimination value
 (1 + cos t)/2 exceeds the per-bit entropy figure h2((1 + sin t)/2) for every
 t in (0, pi/2), so for long strings the exact oracle escapes the cap.  The
 failure message lists the crossing points; this is a documented property of
-the bounds, not an implementation defect.
+the bounds, not an implementation defect.  5c gates the sound min-entropy
+list cap 2^r * ((1 + cos t)/2)^n on the same grid.
 """
 
 import math
@@ -24,6 +25,7 @@ from qbsc import (
     guess_all_oracle,
     hiding_gap,
     identify_all_bound,
+    list_guess_bound,
     smallest_hiding_n,
     uniform_commitment_state,
     von_neumann_entropy,
@@ -171,6 +173,31 @@ def test_criterion_5b_entropy_cap_dominates_exact_oracle():
             + "\n".join(failures)
         )
     report("5b", "entropy-based cap covered the exact oracle on all 20 points")
+
+
+def test_criterion_5c_list_cap_covers_exact_oracle():
+    """The min-entropy list cap min(1, 2^r * ((1 + cos t)/2)^n) covers the
+    exact oracle on 5b's grid, and matches its log-domain recomputation."""
+    start = time.perf_counter()
+    r = 10
+    grid = [
+        (n, theta)
+        for theta in (0.05, 0.1, 0.2, 0.3)
+        for n in (50, 125, 250, 375, 500)
+    ]
+    assert len(grid) == 20
+    caps = []
+    for n, theta in grid:
+        cap = list_guess_bound(n, theta, r)
+        log_cap = r * math.log(2.0) + n * math.log((1.0 + math.cos(theta)) / 2.0)
+        assert cap == pytest.approx(min(1.0, math.exp(log_cap)), rel=1e-12)
+        assert guess_all_oracle(n, theta) <= cap + 1e-9
+        caps.append(cap)
+    assert min(caps) < 1.0  # not vacuous on the whole grid
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    report("5c", f"list cap covered the exact oracle on all 20 points, "
+           f"smallest cap {min(caps):.3e}")
 
 
 def test_criterion_6_codebook_binding(pinned_codebook):

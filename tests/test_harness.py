@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,35 @@ class TestProtocol1RowGates:
             assert code == (0 if verdict else 5)
 
 
+class TestListCapGate:
+    """Every protocol-1 row gates the exact all-bits value against the
+    min-entropy list cap at SOUND_TOL."""
+
+    def test_rows_carry_the_list_cap(self):
+        report = bound_sweep((0.1, 0.3), (2, 400), (1, 10))
+        for row in report.rows:
+            cap = protocol1.list_guess_bound(row["n"], row["theta"], row["r"])
+            assert row["list_guess_bound"] == cap
+            assert row["guess_all_exact"] <= cap
+        assert report.summary["sound_pass"] is True
+
+    def test_cap_below_the_exact_value_fails_the_row(self, monkeypatch, tmp_path):
+        # the gap is exact minus cap: 5e-9 sits inside SOUND_TOL, 2e-8 outside
+        for shift, verdict in ((5e-9, True), (2e-8, False)):
+            monkeypatch.setattr(
+                protocol1,
+                "list_guess_bound",
+                lambda n, theta, r, s=shift: adversary.guess_all_oracle(n, theta) - s,
+            )
+            report = bound_sweep((0.1, 0.3), (2, 4), (1,))
+            assert [row["pass"] for row in report.rows] == [verdict] * 4
+            assert report.summary["sound_pass"] is verdict
+            assert (report.summary["max_sound_violation"] <= harness.SOUND_TOL) is verdict
+            code = main(["bounds", "--theta", "0.2", "--n", "3", "--r", "1",
+                         "--out", str(tmp_path / "report")])
+            assert code == (0 if verdict else 5)
+
+
 class TestSummaryVerdict:
     """The summary passes only when every row passes."""
 
@@ -134,7 +165,9 @@ class TestSweepLimits:
 # two report digests were re-pinned when the protocol-1 mixture spectrum moved
 # to blocks of a symmetry (first the qubit reversal, then the pair basis): the
 # last bits of holevo_brute_bits changed; PRE_BLOCK_SOLVE holds their values
-# from one eigvalsh of the computational Kronecker power.
+# from one eigvalsh of the computational Kronecker power.  The four report
+# digests were re-pinned again for the list_guess_bound column;
+# BEFORE_LIST_CAP holds their bytes without it.
 GOLDEN = {
     "honest1_exact": "96999eb05354cef138e8ad2187bf5de874803b56ce034da0861f4d1952ca77d2",
     "honest1_sampled": "6b91ce4e0322e5e5709010d8904019c04d3751322776727df4aae73310ec3df5",
@@ -146,12 +179,18 @@ GOLDEN = {
     "cheat1_density": "615bdd3bbf42d53a0718fc81ac8aec474763cd3935942c972608f6272a809df3",
     "cheat2_top": "7373488bac535b33438dc157645cf9e137c1470b90e4405683a0068329e8ea40",
     "cheat2_density": "c72287bac10a34143305ae21b80a082f87eb30a6db046519280fad8f6b2ac22f",
-    "report_cheat_sets": "5a822dd6bf684b518b193c9f974469156c0b89d10de9c897c163842173e45a19",
-    "report_plain": "28ea9e989adfe8ca54e3cecdd0997eaa55bf4bd33b1595af87cd49a5530addf1",
+    "report_cheat_sets": "a70c960c6c44d36f2b141476517e1cd3b7902da4c9847e54221a725f5d03d5e7",
+    "report_plain": "f88b71515819aabbf5a54cbed003bf160d501f8a19eb8604e3bba52e2fc99a26",
 }
 PRE_BLOCK_SOLVE = {
-    "report_cheat_sets": "6a703b0bba6fb088d279e7535035c1e7f2abff417f9c08ba41a7be0693302613",
-    "report_plain": "f2a8ea3ab20089bdb3405161460f53efc09d0d5564342faffd9d0079f8882232",
+    "report_cheat_sets": "97a103895bf4ce3a9c36794e03b63a104265410669e26ae81c4e061903ff7020",
+    "report_plain": "d704dc301cf982664a33b5f4b8b47fe6b08b0c6834cd1f4d16ac7e5a3b7b5ccc",
+}
+BEFORE_LIST_CAP = {
+    ("GOLDEN", "report_cheat_sets"): "5a822dd6bf684b518b193c9f974469156c0b89d10de9c897c163842173e45a19",
+    ("GOLDEN", "report_plain"): "28ea9e989adfe8ca54e3cecdd0997eaa55bf4bd33b1595af87cd49a5530addf1",
+    ("PRE_BLOCK_SOLVE", "report_cheat_sets"): "6a703b0bba6fb088d279e7535035c1e7f2abff417f9c08ba41a7be0693302613",
+    ("PRE_BLOCK_SOLVE", "report_plain"): "f2a8ea3ab20089bdb3405161460f53efc09d0d5564342faffd9d0079f8882232",
 }
 
 
@@ -222,6 +261,27 @@ class TestSessionPipeline:
         text = golden_output(name, pinned_codebook)
         assert hashlib.sha256(text.encode()).hexdigest() == PRE_BLOCK_SOLVE[name]
 
+    @pytest.mark.parametrize("table, name", sorted(BEFORE_LIST_CAP))
+    def test_reports_without_the_list_cap_keep_their_old_bytes(
+        self, pinned_codebook, monkeypatch, table, name
+    ):
+        # the list_guess_bound column alone moved the four report digests:
+        # dropped from the rows and from CSV_COLUMNS, the earlier bytes return
+        original = harness._protocol1_row
+
+        def without_list_cap(*args):
+            row, gaps = original(*args)
+            del row["list_guess_bound"]
+            return row, gaps
+
+        monkeypatch.setattr(harness, "_protocol1_row", without_list_cap)
+        columns = tuple(c for c in harness.CSV_COLUMNS if c != "list_guess_bound")
+        monkeypatch.setattr(harness, "CSV_COLUMNS", columns)
+        if table == "PRE_BLOCK_SOLVE":
+            monkeypatch.setattr(protocol1, "uniform_commitment_state", computational_mixture)
+        text = golden_output(name, pinned_codebook)
+        assert hashlib.sha256(text.encode()).hexdigest() == BEFORE_LIST_CAP[table, name]
+
     def test_cheat_is_verified_from_its_message(self, pinned_codebook, monkeypatch):
         cb = pinned_codebook
         strategy = adversary.top_eigenvector_strategy(
@@ -257,3 +317,32 @@ class TestSessionPipeline:
         t = unveil_session(commit_session(1, "01", seed=3, theta=0.2), "01")
         with pytest.raises(InputError):
             verify_session(t, mode="fuzzy")
+
+
+def test_each_closed_form_and_each_gate_has_one_owner():
+    """Protocol 1's per-qubit entropy and Helstrom value are each written
+    once in the package, and no report row builder decides its own pass."""
+    source = "".join(
+        path.read_text() for path in sorted(Path(harness.__file__).parent.glob("*.py"))
+    )
+    for form in (
+        "binary_entropy((1.0 + math.sin(theta)) / 2.0)",
+        "(1.0 + math.cos(theta)) / 2.0",
+    ):
+        assert source.count(form) == 1, form
+    tree = ast.parse(Path(harness.__file__).read_text())
+
+    def strings(node):
+        return {
+            leaf.value for leaf in ast.walk(node)
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+        }
+
+    builders = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_row")
+    ]
+    assert len(builders) == 3
+    for builder in builders:
+        assert "pass" not in strings(builder), builder.name
+    assert "_sound_violation" not in strings(tree)
