@@ -62,7 +62,7 @@ from .protocol2 import (
     Commitment2,
     binding_bound2,
     cheat_set_for,
-    cheat_set_gram,
+    cheat_set_grams,
     code_ensemble_entropy,
     commit2,
     equality_configuration,

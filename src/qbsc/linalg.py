@@ -192,11 +192,12 @@ def _labelled_spectrum(mat: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix, or of each in a stack of them."""
     try:
         return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"eigenvalue solver failed on a {mat.shape[0]}-dim operator: {exc}"
+            f"eigenvalue solver failed on a {mat.shape[-1]}-dim operator: {exc}"
         ) from exc
 
 

@@ -12,12 +12,13 @@ verdict drawn from it.
 Spectra are taken from the code's own small objects.  ``Q`` shares its
 nonzero spectrum with the ``r x r`` Gram matrix of the cheat set, whose
 entries ``1 - 2 d_ij / m`` follow from codeword distances, so the reveal-set
-top eigenvalue is an ``r x r`` solve.  The uniform code ensemble has density
-entries ``[column j of G == column l of G] / m``, so its entropy follows in
-closed form from the multiplicities of the generator's columns.  The dense
-``Q`` serves the top-eigenvector cheat strategy of ``qbsc cheat``: a real
-float64 ``dim x dim`` matrix from one batch of codewords, since the states'
-amplitudes are real.
+top eigenvalue is an ``r x r`` solve; the Gram matrices of many cheat sets
+of one size come as one stack, for one stacked solve.  The uniform code
+ensemble has density entries ``[column j of G == column l of G] / m``, so
+its entropy follows in closed form from the multiplicities of the
+generator's columns.  The dense ``Q`` serves the top-eigenvector cheat
+strategy of ``qbsc cheat``: a real float64 ``dim x dim`` matrix from one
+batch of codewords, since the states' amplitudes are real.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import _BOUND_TOL, projection_probability
 
-_GRAM_BLOCK_BYTES = 1 << 20  # XORed bytes held at once by cheat_set_gram
+# XORed bytes held at once by cheat_set_grams, and the bytes of one chunk
+# of a cheat-set row's draws: their index arrays, codewords and Grams
+_GRAM_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,20 +127,54 @@ def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
     return HermitianOp(mat)
 
 
-def cheat_set_gram(cb: Codebook, s: CheatSet) -> np.ndarray:
-    """Real ``r x r`` Gram matrix ``1 - 2 d_ij / m`` of the cheat set's states.
+def cheat_set_grams(cb: Codebook, cheat_sets) -> dict[int, np.ndarray]:
+    """Real Gram matrices ``1 - 2 d_ij / m`` of cheat sets, stacked by size.
 
-    ``d_ij`` is the Hamming distance between the codewords, the popcount of
-    the XOR of their packed bytes, taken for blocks of rows against all
-    words at once; the matrix has the nonzero spectrum of :func:`q_operator`.
+    ``cheat_sets`` is a sequence of index sequences (the rows of an ``(S,
+    r)`` array, say), each non-empty and of distinct indices; the code's
+    codewords refuse an index out of range.  Returns, for each size ``r``
+    in order of first appearance, the ``(S_r, r, r)`` stack of that size's
+    matrices in the order of their sets.  All the codewords come from one
+    packed lookup, and ``d_ij`` is the popcount of the XOR of two of them,
+    read in the widest words their packed length divides.  Each size's XOR
+    is taken for blocks of whole sets, or of one set's rows against all its
+    codewords, at most ``_GRAM_BLOCK_BYTES`` at once (one row at least).
+    Each matrix has the nonzero spectrum of :func:`q_operator`.
     """
-    words = cb.code._packed_words(s.indices)
-    step = max(1, _GRAM_BLOCK_BYTES // words.size)
-    distances = np.concatenate([
-        np.bitwise_count(words[start : start + step, None] ^ words).sum(axis=2)
-        for start in range(0, len(words), step)
-    ])
-    return 1.0 - 2.0 * distances / cb.code.m
+    by_size: dict[int, list] = {}
+    for indices in cheat_sets:
+        indices = np.asarray(indices)
+        if indices.ndim != 1 or indices.size < 1 or indices.dtype.kind not in "iu":
+            raise InputError(f"cheat set {indices.tolist()!r} is not a non-empty index sequence")
+        by_size.setdefault(indices.size, []).append(indices)
+    stacks = {r: np.array(sets) for r, sets in by_size.items()}
+    for stack in stacks.values():
+        ordered = np.sort(stack, axis=1)
+        repeats = ordered[:, 1:] == ordered[:, :-1]
+        if repeats.any():
+            bad = stack[repeats.any(axis=1).argmax()].tolist()
+            raise InputError(f"cheat set has duplicated indices: {bad}")
+    flat = [np.empty(0, dtype=np.int64), *(stack.ravel() for stack in stacks.values())]
+    packed = cb.code._packed_words(np.concatenate(flat, dtype=np.int64))
+    width = packed.shape[1]
+    itemsize = min(8, width & -width)
+    words = packed.view(f"u{itemsize}")
+    grams, offset = {}, 0
+    for r, stack in stacks.items():
+        sets = len(stack)
+        size_words = words[offset : offset + sets * r].reshape(sets, r, -1)
+        offset += sets * r
+        rows = min(r, max(1, _GRAM_BLOCK_BYTES // (r * width)))
+        step = max(1, _GRAM_BLOCK_BYTES // (rows * r * width))
+        grams[r] = np.empty((sets, r, r))
+        for first in range(0, sets, step):
+            block = size_words[first : first + step]
+            for top in range(0, r, rows):
+                xor = block[:, top : top + rows, None] ^ block[:, None]
+                distances = np.bitwise_count(xor).sum(axis=3)
+                gram = 1.0 - 2.0 * distances / cb.code.m
+                grams[r][first : first + step, top : top + rows] = gram
+    return grams
 
 
 def binding_bound2(r: int, epsilon: float) -> float:

@@ -26,21 +26,25 @@ reveal-set Gram matrix that the packed-byte one replaced.  The pair
 check's overlaps in one ``einsum`` over the whole batch are what its
 block-at-a-time overlaps must match bit for bit, and packed codewords built
 message by message what the batched byte-table lookups must match byte for
-byte.
+byte.  The cheat-set row taken one sample at a time, each draw checked as
+a ``CheatSet`` and its Gram matrix solved alone, is what the row solved
+once per cheat-set size must match bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from qbsc.codebook import _amplitudes
+from qbsc.codebook import _amplitudes, make_rng, verify_epsilon
 from qbsc.errors import InputError, NumericalError
 from qbsc.linalg import DensityMatrix, HermitianOp, Ket, _eigh
 from qbsc.protocol1 import _BOUND_TOL, encode_bit
+from qbsc.protocol2 import binding_bound2, cheat_set_for
 from qbsc.transcript import format_float
 
 MAX_TENSOR_DIM = 2**22
@@ -305,6 +309,34 @@ def python_int_cheat_set_gram(cb, s) -> np.ndarray:
         words.append(word)
     distances = np.array([[(a ^ b).bit_count() for b in words] for a in words])
     return 1.0 - 2.0 * distances / cb.code.m
+
+
+def per_sample_cheat_set_row(cb, samples: int, seed: int) -> dict:
+    """``gap``, ``violations`` and ``pass`` of a feasible cheat-set row, one
+    sample at a time: each draw of the row's stream is made a checked
+    ``CheatSet``, its Gram matrix is :func:`python_int_cheat_set_gram`,
+    solved alone, and its excess over the cap is folded in as it comes."""
+    eps = cb.epsilon_certified
+    r_max = cb.size
+    if eps > 0.0:
+        r_max = min(r_max, int(math.ceil(1.0 / eps)))
+    rng = make_rng(seed)
+    worst = -math.inf
+    violations = 0
+    for _ in range(samples):
+        r = int(rng.integers(2, r_max + 1))
+        indices = rng.choice(cb.size, size=r, replace=False)
+        s = cheat_set_for(cb, (int(i) for i in indices))
+        lam = float(np.linalg.eigvalsh(python_int_cheat_set_gram(cb, s))[-1])
+        excess = lam - binding_bound2(r, eps)
+        worst = max(worst, excess)
+        violations += excess > _BOUND_TOL
+    certified = verify_epsilon(cb) == eps
+    return {
+        "gap": worst,
+        "violations": violations,
+        "pass": certified and max(0.0, worst) <= _BOUND_TOL,
+    }
 
 
 def computational_mixture(n: int, theta: float) -> DensityMatrix:

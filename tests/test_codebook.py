@@ -854,11 +854,12 @@ class TestNoPerMessageWork:
         assert calls == ["codewords"] * 4
 
     def test_cheat_set_gram(self, monkeypatch, calls):
-        # the distances are popcounts of the packed codewords, never unpacked
+        # the distances are popcounts of the packed codewords, never
+        # unpacked, and cheat sets of any sizes take them in one lookup
         counting_method(monkeypatch, BinaryCode, "_packed_words", calls)
         cb = generate_certified_codebook(32, 0.5, 6, seed=1)
         calls.clear()
-        protocol2.cheat_set_gram(cb, protocol2.cheat_set_for(cb, [3, 17, 40]))
+        protocol2.cheat_set_grams(cb, [[3, 17, 40], [0, 9], [5, 6, 7], [1, 2, 4, 8]])
         assert calls == ["_packed_words"]
 
 

@@ -1,6 +1,10 @@
 import ast
+import dataclasses
+import functools
 import hashlib
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +13,19 @@ import pytest
 from qbsc import InputError, protocol1, uniform_commitment_state, von_neumann_entropy
 from qbsc import adversary, harness, protocol2
 from qbsc.cli import main
-from qbsc.codebook import Codebook, generate_certified_codebook
+from qbsc.codebook import (
+    BinaryCode,
+    Codebook,
+    fingerprint_states,
+    generate_certified_codebook,
+    generate_code,
+    make_rng,
+)
 from qbsc.harness import bound_sweep, commit_session, unveil_session, verify_session
 from qbsc.linalg import DensityMatrix
 from qbsc.transcript import Transcript
 
-from oracles import computational_mixture
+from oracles import computational_mixture, per_sample_cheat_set_row
 
 
 def counting(monkeypatch, module, name, calls):
@@ -147,6 +158,141 @@ class TestSummaryVerdict:
         assert row["kind"] == "equality" and row["pass"] is False
         assert report.summary["max_sound_violation"] <= harness.SOUND_TOL
         assert report.summary["sound_pass"] is False
+
+
+def first_order_reed_muller(k: int) -> Codebook:
+    """The code whose columns are all k-bit integers: every nonzero codeword
+    has weight m/2, so epsilon = 0 and a cheat set may hold all 2^k states."""
+    m = 1 << k
+    gen = (np.arange(m) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    return fingerprint_states(BinaryCode(gen.astype(np.uint8)), 0)
+
+
+CHEAT_CODEBOOKS = {
+    "k1": lambda: fingerprint_states(BinaryCode(np.array([[1, 0, 1, 0]], dtype=np.uint8)), 0),
+    "k4-m16": lambda: fingerprint_states(generate_code(4, 16, 2), 2),
+    "pinned": lambda: generate_certified_codebook(32, 0.5, 6, seed=1),
+    "k7-m77": lambda: fingerprint_states(generate_code(7, 77, 6), 6),
+    "k8-m256": lambda: fingerprint_states(generate_code(8, 256, 3), 3),
+    "k10-m1024": lambda: generate_certified_codebook(1024, 0.25, 10, seed=3),
+    "k12-m1024": lambda: fingerprint_states(generate_code(12, 1024, 5), 5),
+    "epsilon0-k6": lambda: first_order_reed_muller(6),
+}
+
+
+@functools.cache
+def cheat_codebook(name: str) -> Codebook:
+    return CHEAT_CODEBOOKS[name]()
+
+
+def cheat_row(cb, samples, seed) -> dict:
+    row = bound_sweep([0.2], [2], [1], codebook=cb, cheat_samples=samples, seed=seed).rows[-1]
+    return {"gap": repr(row["gap"]), "violations": row["violations"], "pass": row["pass"]}
+
+
+def largest_cheat_set(cb) -> int:
+    """The row's r_max: the family size, capped where (r - 1) * eps < 1 ends."""
+    eps = cb.epsilon_certified
+    return min(cb.size, math.ceil(1.0 / eps)) if eps > 0.0 else cb.size
+
+
+def stream_draws(cb, samples, seed) -> list:
+    """The row's draws read straight from its stream, as index tuples."""
+    r_max = largest_cheat_set(cb)
+    rng = make_rng(seed)
+    draws = []
+    for _ in range(samples):
+        r = int(rng.integers(2, r_max + 1))
+        draws.append(tuple(rng.choice(cb.size, size=r, replace=False).tolist()))
+    return draws
+
+
+class TestCheatSetRow:
+    """The cheat-set row solves its draws once per size, and reads as the
+    per-sample row did, bit for bit."""
+
+    @pytest.mark.parametrize("seed, samples", [(0, 1), (1, 7), (2, 50), (3, 300)])
+    @pytest.mark.parametrize("name", sorted(CHEAT_CODEBOOKS))
+    def test_matches_the_per_sample_oracle(self, name, seed, samples):
+        cb = cheat_codebook(name)
+        expected = per_sample_cheat_set_row(cb, samples, seed)
+        expected["gap"] = repr(expected["gap"])
+        assert cheat_row(cb, samples, seed) == expected
+
+    def test_large_sets_reach_the_family_size(self):
+        cb = cheat_codebook("epsilon0-k6")
+        assert cb.epsilon_certified == 0.0 and cb.size == 64
+        assert max(map(len, stream_draws(cb, 300, 3))) > 60
+
+    def test_miscertified_codebook_counts_the_oracle_violations(self):
+        cb = dataclasses.replace(cheat_codebook("pinned"), epsilon_certified=0.05)
+        for seed, samples in ((0, 40), (4, 300)):
+            row = cheat_row(cb, samples, seed)
+            expected = per_sample_cheat_set_row(cb, samples, seed)
+            expected["gap"] = repr(expected["gap"])
+            assert row == expected
+            assert row["violations"] > 0 and row["pass"] is False
+
+    @staticmethod
+    def footprint(cb, chunk) -> int:
+        """Bytes of a chunk's draws as index arrays of their own, packed
+        codewords and float64 Gram matrices."""
+        width = (cb.code.m + 7) // 8
+        own = sys.getsizeof(np.arange(2)) - 16  # an index array's header
+        return sum(own + 8 * len(d) + len(d) * width + 8 * len(d) ** 2 for d in chunk)
+
+    @pytest.mark.parametrize("cap", [None, 1 << 12, 1])
+    def test_one_lookup_per_chunk_and_one_solve_per_size(self, monkeypatch, cap):
+        cb = cheat_codebook("k8-m256")
+        expected = cheat_row(cb, 200, 7)
+        if cap is not None:
+            monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
+        chunks = list(harness._cheat_set_draws(cb, 200, 7, largest_cheat_set(cb)))
+        lookups, solves = [], []
+        original = BinaryCode._packed_words
+        monkeypatch.setattr(
+            BinaryCode, "_packed_words",
+            lambda code, messages: lookups.append(len(messages)) or original(code, messages),
+        )
+        solve = harness._eigvalsh
+        monkeypatch.setattr(
+            harness, "_eigvalsh", lambda mat: solves.append(mat.shape) or solve(mat)
+        )
+        row, gaps, _ = harness._cheat_set_row(cb, 200, 7)
+        assert (repr(row["gap"]), row["violations"]) == (expected["gap"], expected["violations"])
+        assert lookups == [sum(map(len, chunk)) for chunk in chunks]
+        sizes = []
+        for chunk in chunks:
+            counts = {}
+            for draw in chunk:
+                counts[len(draw)] = counts.get(len(draw), 0) + 1
+            sizes += [(count, r, r) for r, count in counts.items()]
+        assert solves == sizes
+        # one chunk by default, several under a few KiB, one draw each under 1 byte
+        assert len(chunks) == 1 if cap is None else 1 < len(chunks) <= 200
+        assert (len(chunks) == 200) == (cap == 1)
+
+    @pytest.mark.parametrize("cap", [1 << 10, 1 << 13])
+    def test_chunks_hold_the_stream_within_the_cap(self, monkeypatch, cap):
+        cb = cheat_codebook("epsilon0-k6")
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
+        chunks = list(harness._cheat_set_draws(cb, 500, 2, 64))
+        for chunk in chunks:
+            assert len(chunk) == 1 or self.footprint(cb, chunk) <= cap
+        drawn = [tuple(draw.tolist()) for chunk in chunks for draw in chunk]
+        assert drawn == stream_draws(cb, 500, 2)
+        assert len(chunks) > 1 and max(map(len, chunks)) > 1
+
+    def test_memory_does_not_grow_with_the_samples(self, monkeypatch):
+        cb = cheat_codebook("pinned")
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", 1 << 12)
+        peaks = []
+        for samples in (400, 4000):
+            tracemalloc.start()
+            harness._cheat_set_row(cb, samples, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestSweepLimits:

@@ -11,7 +11,7 @@ from qbsc import (
     binding_bound2,
     capacity,
     cheat_set_for,
-    cheat_set_gram,
+    cheat_set_grams,
     code_ensemble_entropy,
     commit2,
     equality_configuration,
@@ -366,14 +366,14 @@ class TestSmallMatrixSpectra:
         r_max = min(cb.size, math.ceil(1.0 / cb.epsilon_certified))
         for r in range(1, r_max + 1):
             s = cheat_set_for(cb, rng.choice(cb.size, size=r, replace=False).tolist())
-            gram = cheat_set_gram(cb, s)
+            gram = cheat_set_grams(cb, [s.indices])[r][0]
             assert gram.shape == (r, r) and gram.dtype == float
             dense = np.linalg.eigvalsh(q_operator(cb, s).mat)[-1]
             assert abs(np.linalg.eigvalsh(gram)[-1] - dense) <= 1e-12
 
     def test_gram_entries_are_inner_products(self, pinned_codebook):
         s = cheat_set_for(pinned_codebook, [0, 9, 33])
-        gram = cheat_set_gram(pinned_codebook, s)
+        gram = cheat_set_grams(pinned_codebook, [s.indices])[3][0]
         for a, i in enumerate(s.indices):
             for b, j in enumerate(s.indices):
                 direct = np.vdot(pinned_codebook.state(i).amps,
@@ -383,27 +383,88 @@ class TestSmallMatrixSpectra:
     @pytest.mark.parametrize(
         "k, m, r, seed", [(1, 1, 2, 0), (6, 32, 5, 1), (7, 77, 40, 2), (12, 1024, 9, 3)]
     )
-    @pytest.mark.parametrize("block", ["default", "one-row", "uneven"])
+    @pytest.mark.parametrize("sets", [1, 7])
+    @pytest.mark.parametrize("block", ["default", "one-row", "uneven", "few-sets"])
     def test_gram_is_the_python_int_popcount_to_the_byte(
-        self, monkeypatch, k, m, r, seed, block
+        self, monkeypatch, k, m, r, seed, sets, block
     ):
         cb = fingerprint_states(generate_code(k, m, seed), seed)
-        s = CheatSet(indices=tuple(np.random.default_rng(seed).permutation(cb.size)[:r]))
-        words = (m + 7) // 8 * r  # packed bytes of the cheat set's codewords
+        rng = np.random.default_rng(seed)
+        indices = np.array([rng.permutation(cb.size)[:r] for _ in range(sets)])
+        words = (m + 7) // 8 * r  # packed bytes of one cheat set's codewords
+        cap = {"one-row": words + 5, "uneven": 3 * words + 5, "few-sets": 2 * r * words + 5}
         if block != "default":
-            rows = 1 if block == "one-row" else 3
-            monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", rows * words + 5)
-        gram = cheat_set_gram(cb, s)
-        expected = python_int_cheat_set_gram(cb, s)
-        assert gram.dtype == expected.dtype and gram.shape == (r, r)
-        assert gram.tobytes() == expected.tobytes()
+            monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap[block])
+        grams = cheat_set_grams(cb, indices)[r]
+        expected = np.stack([python_int_cheat_set_gram(cb, CheatSet(row)) for row in indices])
+        assert grams.dtype == expected.dtype and grams.shape == (sets, r, r)
+        assert grams.tobytes() == expected.tobytes()
+
+    def test_sets_of_mixed_sizes_are_stacked_by_size(self, monkeypatch):
+        # sizes in order of first appearance, sets in order within each size,
+        # whole sets per block or rows of one set, as the byte cap allows
+        cb = fingerprint_states(generate_code(7, 77, 2), 2)
+        rng = np.random.default_rng(2)
+        sets = [rng.permutation(cb.size)[:r] for r in (5, 2, 5, 9, 2, 2, 1)]
+        for cap in (None, 5 * 10 * 3, 1):
+            if cap is not None:
+                monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
+            grams = cheat_set_grams(cb, sets)
+            assert list(grams) == [5, 2, 9, 1]
+            for r, stack in grams.items():
+                expected = [python_int_cheat_set_gram(cb, CheatSet(s)) for s in sets if len(s) == r]
+                assert stack.tobytes() == np.stack(expected).tobytes()
+
+    def test_xor_blocks_stay_within_the_cap(self, monkeypatch):
+        # whole sets while they fit, then rows of one set, and one row at least
+        cb = fingerprint_states(generate_code(7, 77, 2), 2)
+        indices = np.array([np.random.default_rng(i).permutation(cb.size)[:9] for i in range(5)])
+        width = (77 + 7) // 8
+        blocks = []
+        original = np.bitwise_count
+        monkeypatch.setattr(np, "bitwise_count", lambda x: blocks.append(x.nbytes) or original(x))
+        for cap, largest in [(2 * 81 * width, 2 * 81 * width), (81 * width - 1, 8 * 9 * width),
+                             (9 * width - 1, 9 * width)]:
+            monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
+            blocks.clear()
+            cheat_set_grams(cb, indices)
+            assert max(blocks) == largest and sum(blocks) == 5 * 81 * width
 
     def test_gram_rejects_out_of_range_index(self, pinned_codebook):
+        for indices in ([[0, 64]], [[0, 5], [-1, 5]]):
+            with pytest.raises(InputError):
+                cheat_set_grams(pinned_codebook, indices)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[[3, 17, 3]], [[0, 1], [2, 2]], [[0, 1], [4, 5, 4]], [3, 17], [[]], [[[0, 1]]],
+         [[0.0, 1.5]]],
+        ids=["duplicate", "duplicate-in-second-set", "duplicate-in-second-size",
+             "scalar-sets", "empty-set", "nested-set", "float"],
+    )
+    def test_gram_rejects_malformed_sets(self, pinned_codebook, indices):
         with pytest.raises(InputError):
-            cheat_set_gram(pinned_codebook, CheatSet(indices=(0, 64)))
+            cheat_set_grams(pinned_codebook, indices)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_gram_reads_any_integer_dtype(self, pinned_codebook, dtype):
+        indices = np.array([[3, 17, 40], [0, 9, 33]])
+        expected = cheat_set_grams(pinned_codebook, indices)[3]
+        grams = cheat_set_grams(pinned_codebook, indices.astype(dtype))[3]
+        assert grams.tobytes() == expected.tobytes()
+
+    def test_gram_of_no_sets_is_empty(self, pinned_codebook):
+        assert cheat_set_grams(pinned_codebook, []) == {}
+        assert cheat_set_grams(pinned_codebook, np.empty((0, 3), dtype=np.int64)) == {}
 
     @pytest.mark.parametrize("index", [64, -1])
-    @pytest.mark.parametrize("build", [cheat_set_gram, q_operator])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda cb, s: cheat_set_grams(cb, [s.indices]), id="cheat_set_gram"),
+            q_operator,
+        ],
+    )
     def test_builders_reject_out_of_range_index(self, pinned_codebook, build, index):
         # a directly built CheatSet skips cheat_set_for's range check; the
         # codewords of the code refuse the index

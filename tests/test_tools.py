@@ -38,6 +38,12 @@ FIGURES = ("q_operator", "eigvalsh", "strategy", "gram")
              "crosscheck_s", "crosscheck_minflt", "certify_s", "certify_minflt"},
         ),
         (
+            "probe_audit.py",
+            ("--cases", "grid", "--repeats", "1"),
+            {"case", "k", "m", "epsilon", "samples", "seed", "repeats", "row_s",
+             "row_traced_kib", "peak_rss_mb", "gap", "violations"},
+        ),
+        (
             "probe_reveal.py",
             ("--ms", "16", "--k", "3", "--r", "2", "--repeats", "1"),
             {"m", "k", "r", "seed", "repeats"}
@@ -45,7 +51,7 @@ FIGURES = ("q_operator", "eigvalsh", "strategy", "gram")
                for unit in ("s", "growth_mb", "peak_rss_mb")},
         ),
     ],
-    ids=["mixture", "enumeration", "crosscheck", "reveal"],
+    ids=["mixture", "enumeration", "crosscheck", "audit", "reveal"],
 )
 def test_probe_prints_documented_keys(script, args, keys):
     done = subprocess.run(

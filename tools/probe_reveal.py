@@ -14,8 +14,8 @@ peak RSS across it (``resource.getrusage``, so Unix only):
 - ``eigvalsh``: ``np.linalg.eigvalsh`` of that matrix, built beforehand;
 - ``strategy``: ``adversary.top_eigenvector_strategy`` of that matrix
   with its cap, the solve behind ``qbsc cheat --protocol 2``;
-- ``gram``: ``protocol2.cheat_set_gram``, the r x r matrix the audit
-  solves.
+- ``gram``: ``protocol2.cheat_set_grams`` of the one cheat set, the
+  r x r matrix the audit solves.
 
 Each figure is ``<name>_s`` (wall seconds) and ``<name>_growth_mb``; the
 process's whole peak is ``<name>_peak_rss_mb``.  Each case runs
@@ -56,7 +56,7 @@ call = {
     "q_operator": lambda: protocol2.q_operator(cb, cheat_set),
     "eigvalsh": lambda: np.linalg.eigvalsh(q.mat),
     "strategy": lambda: adversary.top_eigenvector_strategy(q, bound=bound),
-    "gram": lambda: protocol2.cheat_set_gram(cb, cheat_set),
+    "gram": lambda: protocol2.cheat_set_grams(cb, [indices])[r],
 }[figure]
 before = peak_mb()
 start = time.perf_counter()
