@@ -19,7 +19,7 @@ from qbsc import (
     verify_unveil2,
 )
 from qbsc.adversary import run_cheat_session
-from qbsc.protocol2 import index_string
+from qbsc.protocol2 import guess_string_exact, index_string
 
 # --- build a certified near-orthogonal family ---------------------------
 cb = generate_certified_codebook(n=32, epsilon_target=0.5, k=6, seed=1)
@@ -66,6 +66,8 @@ print()
 
 # --- hiding: the receiver's cap is the carrier dimension -----------------
 print(f"receiver information cap: {hiding_bound2(cb)} bits "
-      f"(exact ensemble entropy {code_ensemble_entropy(cb):.4f})")
+      f"(exact ensemble entropy {code_ensemble_entropy(cb):.4f}, "
+      f"whole-string guess {guess_string_exact(cb):.6f} "
+      f"<= dim/2^k = {cb.dim / cb.size})")
 print(f"committed bits: {capacity(cb)} -> at least "
       f"{capacity(cb) - int(hiding_bound2(cb))} bit stays hidden")

@@ -138,6 +138,7 @@ def _cmd_codebook_info(args) -> int:
     print(f"dim (n): {cb.dim}")
     print(f"capacity (k): {codebook.capacity(cb)}")
     print(f"epsilon_certified: {format_float(cb.epsilon_certified)}")
+    print(f"guess_string_exact: {format_float(protocol2.guess_string_exact(cb))}")
     print(f"seed: {cb.seed}")
     print(f"attempts: {cb.attempts}")
     print(f"prng: {codebook.PRNG_ID}")

@@ -9,7 +9,7 @@ codeword weights ``w``.  Certification is exhaustive over that weight
 enumeration: codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is
 the Walsh-Hadamard transform of the histogram of the generator's columns
 read as ``k``-bit integers, so all ``2^k`` weights cost ``O(m + k 2^k)``
-whatever the length.  The histogram is counted straight into the
+whatever the length.  The cached column classes give the histogram, in the
 transform's dtype, int16 (exact while ``m <= 32,767``, int64 above); the
 butterflies alternate between two buffers over contiguous half-blocks, with
 one transpose into message order so that every pass has long blocks, and
@@ -120,12 +120,6 @@ def _row_ints(mat: np.ndarray) -> list[int]:
     packed = np.packbits(mat, axis=1)
     shift = -mat.shape[1] % 8
     return [int.from_bytes(row.tobytes(), "big") >> shift for row in packed]
-
-
-def _column_values(gen: np.ndarray) -> np.ndarray:
-    """Columns of a ``(k, m)`` bit matrix as k-bit integers, row 0 most
-    significant (all zeros when ``k = 0``)."""
-    return np.dot(1 << np.arange(gen.shape[0] - 1, -1, -1), gen)
 
 
 def _rows_to_hex(gen: np.ndarray) -> list[str]:
@@ -256,31 +250,39 @@ class BinaryCode:
     def codeword(self, message: int) -> np.ndarray:
         return self.codewords((message,))[0]
 
+    @functools.cached_property
+    def column_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct generator columns as k-bit integers (row 0 most
+        significant), ascending, and their counts, from one ``np.unique``."""
+        values = np.dot(1 << np.arange(self.k - 1, -1, -1), self.generator)
+        values, counts = np.unique(values, return_counts=True)
+        values.flags.writeable = counts.flags.writeable = False
+        return values, counts
+
     def nonzero_codeword_weights(self) -> np.ndarray:
         """Hamming weights of all 2^k - 1 nonzero codewords in message order.
 
         Codeword ``x G`` has weight ``(m - W[x]) / 2``, where ``W`` is the
         Walsh-Hadamard transform of the histogram of the generator columns
-        read as k-bit integers (row 0 most significant).  Every partial sum
-        of the transform is a signed sum of disjoint column counts, so its
-        magnitude is at most ``m`` and int16 holds it exactly for ``m`` up
-        to 32,767 (int64 above); the histogram is counted in that dtype.
-        It is laid out as a ``(2^lo, 2^hi)`` array, ``lo = k // 2`` low
-        column bits first, takes its ``lo`` row-bit passes, is transposed
-        once into message order, and takes its ``hi`` passes there, so
-        every pass adds and subtracts blocks of at least ``2^lo``
-        contiguous entries.  Since ``W = m (mod 2)``, the weight is ``(m >>
-        1) - (W >> 1)``, formed in place and widened to int64 in one copy.
+        read as k-bit integers, the counts of :attr:`column_classes`.  Every
+        partial sum of the transform is a signed sum of disjoint column
+        counts, so its magnitude is at most ``m`` and int16 holds it exactly
+        for ``m`` up to 32,767 (int64 above).  The counts are scattered into
+        a histogram of that dtype laid out as a ``(2^lo, 2^hi)`` array, ``lo
+        = k // 2`` low column bits first, which takes its ``lo`` row-bit
+        passes, is transposed once into message order, and takes its ``hi``
+        passes there, so every pass adds and subtracts blocks of at least
+        ``2^lo`` contiguous entries.  As ``W = m (mod 2)``, the weight ``(m
+        >> 1) - (W >> 1)`` is formed in place and widened to int64 at once.
         """
         k, m = self.k, self.m
         lo = k // 2
         rows, cols = 1 << (k - lo), 1 << lo
         dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int64
-        columns = _column_values(self.generator)
+        values, counts = self.column_classes
         src = np.zeros(rows * cols, dtype=dtype)
-        # each column's low lo bits lead its index in the (2^lo, 2^hi) layout;
-        # an increment of src's own dtype keeps np.add.at on its fast path
-        np.add.at(src, (columns & (cols - 1)) << (k - lo) | columns >> lo, dtype(1))
+        # each class's low lo bits lead its index in the (2^lo, 2^hi) layout
+        src[(values & (cols - 1)) << (k - lo) | values >> lo] = counts
         src, dst = _butterflies(src, np.empty_like(src), lo, rows)
         np.copyto(dst.reshape(rows, cols), src.reshape(cols, rows).T)
         spectrum, _ = _butterflies(dst, src, k - lo, cols)

@@ -15,10 +15,12 @@ entries ``1 - 2 d_ij / m`` follow from codeword distances, so the reveal-set
 top eigenvalue is an ``r x r`` solve; the Gram matrices of many cheat sets
 of one size come as one stack, for one stacked solve.  The uniform code
 ensemble has density entries ``[column j of G == column l of G] / m``, so
-its entropy follows in closed form from the multiplicities of the
-generator's columns.  The dense ``Q`` serves the top-eigenvector cheat
-strategy of ``qbsc cheat``: a real float64 ``dim x dim`` matrix from one
-batch of codewords, since the states' amplitudes are real.
+its entropy, like the receiver's exact chance of guessing the whole
+string, follows in closed form from the multiplicities of the generator's
+columns: the code's cached ``column_classes``, their one source.  The
+dense ``Q`` serves the top-eigenvector cheat strategy of ``qbsc cheat``: a
+real float64 ``dim x dim`` matrix from one batch of codewords, since the
+states' amplitudes are real.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, _amplitudes, _column_values, capacity
+from .codebook import Codebook, _amplitudes, capacity
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import _BOUND_TOL, projection_probability
@@ -221,12 +223,25 @@ def code_ensemble_entropy(cb: Codebook) -> float:
 
     The mixture is block diagonal over classes of equal generator columns,
     and a class of ``t`` columns contributes the single eigenvalue ``t / m``.
-    The classes are counted in the order of their columns read as k-bit
-    integers.
+    The counts are the code's cached ``column_classes``.
     """
-    counts = np.bincount(_column_values(cb.code.generator))
-    counts = counts[counts > 0]
+    counts = cb.code.column_classes[1]
     return float(np.dot(counts / cb.dim, np.log2(cb.dim / counts)))
+
+
+def guess_string_exact(cb: Codebook) -> float:
+    """The receiver's best chance of guessing the whole committed string,
+    ``(sum_a sqrt(t_a))^2 / (2^k m)`` over the counts ``t_a`` of the code's
+    ``column_classes``: at most ``m / 2^k``, with equality exactly when no
+    two columns are equal.
+
+    The states are one orbit of ``Z_2^k`` acting by sign flips, so the
+    square-root measurement is optimal (Eldar & Forney, IEEE TIT 47, 858,
+    2001), and the characters of the group diagonalise the Gram matrix,
+    with eigenvalue ``2^k t_a / m`` on class ``a``.
+    """
+    roots = np.sqrt(cb.code.column_classes[1]).sum()
+    return float(roots * roots / (cb.size * cb.dim))
 
 
 def hiding_bound2(cb: Codebook) -> float:

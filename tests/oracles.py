@@ -12,8 +12,11 @@ expression over every codeword weight is the slow form of the certificate
 that reads only the two extreme weights.  The protocol-1 mixture as the
 ``np.kron`` power of the single-qubit mixture in the computational basis,
 solved by one ``eigvalsh``, is what its pair-basis build and block solve
-replaced, and ``np.unique`` over the generator's columns the count of equal
-columns that a histogram of their integer values replaced.  The complex
+replaced, and ``np.unique`` over the generator's columns as bit vectors
+the count of equal columns that the code's cached column classes must
+match.  The explicit square-root measurement of the code states, with the
+Yuen-Kennedy-Lax conditions that certify it optimal, is what the closed
+form of ``guess_string_exact`` must agree with.  The complex
 reveal-set operator stacked from the code states' ``Ket`` amplitudes is
 what the real one built from a batch of codewords replaced.  The explicit
 per-qubit Helstrom measurement, summed over every bit string, is what the
@@ -355,6 +358,40 @@ def unique_column_counts(generator: np.ndarray) -> np.ndarray:
     """Multiplicity of each distinct generator column, in lexicographic
     order of the columns read top to bottom."""
     return np.unique(np.asarray(generator).T, axis=0, return_counts=True)[1]
+
+
+class SquareRootMeasurement(NamedTuple):
+    success: float  # whole-string guessing probability, equal priors
+    completeness: float  # max |sum_x M_x - projector onto the states' span|
+    asymmetry: float  # max |Gamma - Gamma^T|
+    slack: float  # smallest eigenvalue of any Gamma - p psi_x psi_x^T
+
+
+def square_root_measurement(cb) -> SquareRootMeasurement:
+    """The square-root measurement ``M_x = p rho^(-1/2) psi_x psi_x^T
+    rho^(-1/2)`` of the ``2^k`` equiprobable code states (``p = 2^-k``, the
+    inverse root taken on the span of the states), its success ``sum_x p
+    <psi_x|M_x|psi_x>``, and the Yuen-Kennedy-Lax certificate of its
+    optimality: ``Gamma = sum_x p psi_x psi_x^T M_x`` is symmetric and
+    every ``Gamma - p psi_x psi_x^T`` is positive semidefinite.  Kept to
+    ``k <= 8`` and ``m <= 64``: ``2^k`` eigensolves of ``m x m``."""
+    if cb.code.k > 8 or cb.dim > 64:
+        raise ValueError(f"k = {cb.code.k}, m = {cb.dim} beyond the oracle's size")
+    p = 1.0 / cb.size
+    states = np.stack([cb.state(x).amps.real for x in range(cb.size)])
+    lam, vec = np.linalg.eigh(p * states.T @ states)
+    span = vec[:, lam > 1e-9]
+    inverse_root = (span / np.sqrt(lam[lam > 1e-9])) @ span.T
+    roots = math.sqrt(p) * states @ inverse_root  # M_x = outer(roots[x], roots[x])
+    amplitudes = np.einsum("xa,xa->x", states, roots)
+    gamma = p * np.einsum("x,xa,xb->ab", amplitudes, states, roots)
+    slack = np.linalg.eigvalsh(gamma - p * states[:, :, None] * states[:, None, :])
+    return SquareRootMeasurement(
+        success=float(p * np.sum(amplitudes**2)),
+        completeness=float(np.abs(roots.T @ roots - span @ span.T).max()),
+        asymmetry=float(np.abs(gamma - gamma.T).max()),
+        slack=float(slack.min()),
+    )
 
 
 def complex_q_operator(cb, s) -> np.ndarray:

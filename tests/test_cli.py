@@ -327,6 +327,8 @@ class TestCodebookCommands:
         out = capsys.readouterr().out
         assert "capacity (k): 6" in out
         assert "epsilon_certified: 0.375" in out
+        # the receiver's exact whole-string guess, 26 distinct columns of 32
+        assert "\nguess_string_exact: 0.39619690184059703\n" in out
 
     def test_verify_ok(self, codebook_path):
         assert run("codebook", "verify", "--codebook", codebook_path) == 0

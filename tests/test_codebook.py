@@ -30,7 +30,6 @@ from qbsc import Transcript, harness, linalg, protocol1, protocol2
 from qbsc import codebook as codebook_module
 from qbsc.codebook import (
     _amplitudes,
-    _column_values,
     _crosscheck_pairs,
     _hex_to_rows,
     _pair_overlaps,
@@ -1221,8 +1220,9 @@ class TestInt16Histogram:
 
 
 class TestColumnCounts:
-    """Equal generator columns are counted by a histogram of their k-bit
-    values, in the order ``np.unique`` gives them."""
+    """Equal generator columns are the code's cached column classes: their
+    k-bit values ascending and their counts, in the order ``np.unique``
+    gives the columns as bit vectors."""
 
     @staticmethod
     def unique_count_entropy(generator):
@@ -1233,9 +1233,10 @@ class TestColumnCounts:
     @STRUCTURED_GENERATORS
     def test_structured_generators(self, k, columns):
         generator = columns_generator(k, columns)
-        histogram = np.bincount(_column_values(generator))
-        assert np.array_equal(histogram[histogram > 0], unique_column_counts(generator))
         code = BinaryCode(generator=generator)
+        values, counts = code.column_classes
+        assert np.array_equal(values, np.unique(columns))
+        assert np.array_equal(counts, unique_column_counts(generator))
         entropy = protocol2.code_ensemble_entropy(SimpleNamespace(code=code, dim=code.m))
         assert entropy == self.unique_count_entropy(generator)
 
@@ -1245,9 +1246,31 @@ class TestColumnCounts:
     )
     def test_random_codes(self, k, m, seed):
         cb = fingerprint_states(generate_code(k, m, seed), seed)
-        assert protocol2.code_ensemble_entropy(cb) == self.unique_count_entropy(
-            cb.code.generator
-        )
+        generator = cb.code.generator
+        assert np.array_equal(cb.code.column_classes[1], unique_column_counts(generator))
+        assert protocol2.code_ensemble_entropy(cb) == self.unique_count_entropy(generator)
+
+    def test_one_unique_per_code(self, monkeypatch):
+        calls = []
+        original = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        codes = [generate_code(k, m, seed) for k, m, seed in ((3, 6, 1), (6, 32, 2))]
+        for code in codes:
+            cb = fingerprint_states(code, 0)  # certified and cross-checked
+            loaded = Codebook.from_json(cb.to_json())  # a second code object
+            for _ in range(3):
+                for book in (cb, loaded):
+                    book.code.nonzero_codeword_weights()
+                    verify_epsilon(book)
+                    protocol2.code_ensemble_entropy(book)
+                    protocol2.guess_string_exact(book)
+                    protocol2.hiding_bound2(book)
+        assert calls == [(6,), (6,), (32,), (32,)]
 
 
 class TestLengthLimitOnLoad:

@@ -492,3 +492,21 @@ def test_each_closed_form_and_each_gate_has_one_owner():
     for builder in builders:
         assert "pass" not in strings(builder), builder.name
     assert "_sound_violation" not in strings(tree)
+
+
+def test_generator_columns_have_one_owner():
+    """The generator's columns are read as k-bit integers in one place, the
+    cached ``BinaryCode.column_classes``; no module counts them its own way
+    or imports a column helper from ``codebook``."""
+    package = Path(harness.__file__).parent
+    source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    assert "np.bincount" not in source
+    assert "np.add.at" not in source
+    assert source.count("np.dot(1 << np.arange(") == 1
+    tree = ast.parse((package / "protocol2.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "codebook"
+        for alias in node.names
+    ]
+    assert imported and not any("column" in name for name in imported)

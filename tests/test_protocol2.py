@@ -34,6 +34,7 @@ from oracles import (
     python_int_cheat_set_gram,
     random_density_matrix,
     rayleigh_quotient_terms,
+    square_root_measurement,
 )
 
 ORTHOGONAL_2x4 = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.uint8)
@@ -348,6 +349,72 @@ class TestHiding2:
         cb = fingerprint_states(code, 0)  # two orthogonal states in dim 4
         assert code_ensemble_entropy(cb) == pytest.approx(1.0, abs=1e-12)
         assert hiding_bound2(cb) == 2.0
+
+
+def columns_codebook(k, columns):
+    """Codebook of the code whose generator columns are the given k-bit
+    integers, row 0 most significant."""
+    columns = np.asarray(columns, dtype=np.int64)
+    generator = (columns[None, :] >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    return fingerprint_states(BinaryCode(generator=generator.astype(np.uint8)), 0)
+
+
+class TestGuessStringExact:
+    """The receiver's exact whole-string guess ``(sum_a sqrt(t_a))^2 / (2^k
+    m)`` is the success of the square-root measurement, which the
+    Yuen-Kennedy-Lax conditions certify optimal."""
+
+    @staticmethod
+    def assert_matches_optimal_measurement(cb):
+        srm = square_root_measurement(cb)
+        assert abs(protocol2.guess_string_exact(cb) - srm.success) <= 1e-12
+        assert srm.completeness <= 1e-12
+        assert srm.asymmetry <= 1e-12
+        assert srm.slack >= -1e-12
+
+    @pytest.mark.parametrize(
+        "k, m, seed",
+        [(1, 3, 0), (1, 9, 1), (2, 7, 2), (3, 12, 3), (4, 20, 4), (5, 40, 5),
+         (6, 64, 6), (7, 30, 7), (8, 64, 8)],
+    )
+    def test_random_codes_with_repeated_columns(self, k, m, seed):
+        # the unit columns, then draws from a few values, so columns repeat
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2**k, size=max(1, (m - k) // 3))
+        cb = columns_codebook(k, np.concatenate([1 << np.arange(k), rng.choice(pool, m - k)]))
+        assert cb.code.column_classes[0].size < m
+        self.assert_matches_optimal_measurement(cb)
+        assert protocol2.guess_string_exact(cb) < m / 2**k
+
+    @pytest.mark.parametrize("m", [1, 5, 64])
+    def test_single_state_is_guessed_surely(self, m):
+        cb = columns_codebook(0, [0] * m)
+        assert protocol2.guess_string_exact(cb) == pytest.approx(1.0, abs=1e-15)
+        self.assert_matches_optimal_measurement(cb)
+
+    def test_one_bit(self):
+        # classes of 3 zero and 2 one columns: (sqrt 3 + sqrt 2)^2 / 10
+        cb = columns_codebook(1, [0, 1, 0, 1, 0])
+        expected = (math.sqrt(3) + math.sqrt(2)) ** 2 / 10
+        assert protocol2.guess_string_exact(cb) == pytest.approx(expected, abs=1e-15)
+        self.assert_matches_optimal_measurement(cb)
+
+    @pytest.mark.parametrize("k, m, seed", [(2, 4, 0), (5, 17, 1), (6, 64, 2)])
+    def test_distinct_columns_reach_dim_over_size(self, k, m, seed):
+        units = 1 << np.arange(k)
+        others = np.setdiff1d(np.arange(2**k), units)
+        rest = np.random.default_rng(seed).choice(others, m - k, replace=False)
+        cb = columns_codebook(k, np.concatenate([units, rest]))
+        assert cb.code.column_classes[0].size == m
+        assert protocol2.guess_string_exact(cb) == m / 2**k
+        self.assert_matches_optimal_measurement(cb)
+
+    def test_pinned_codebook(self, pinned_codebook):
+        # 26 distinct columns of 32, so below dim / size = 0.5
+        assert pinned_codebook.code.column_classes[0].size == 26
+        value = protocol2.guess_string_exact(pinned_codebook)
+        assert value == pytest.approx(0.396196901840597, abs=1e-15)
+        self.assert_matches_optimal_measurement(pinned_codebook)
 
 
 def dense_ensemble_entropy(cb):
