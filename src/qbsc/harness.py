@@ -21,7 +21,6 @@ and every row gates the exact value against it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +72,9 @@ def committed_transcript(
     """A transcript in phase ``committed`` for the message ``sent``.
 
     ``sent`` is what the committer transmits: the tuple of qubits for
-    protocol 1 (with ``params``), and a codebook index or one state for
-    protocol 2 (with ``codebook``).  Honest committers name their ``bits``,
+    protocol 1 (with ``params``), sent as amplitudes when every qubit is a
+    ``Ket`` and as density matrices otherwise (a ``Ket`` as its projector),
+    and a codebook index or one state for protocol 2 (with ``codebook``).  Honest committers name their ``bits``,
     which are bound by a salted hash; cheat sessions commit to no string and
     carry their ``strategy`` record instead.
     """
@@ -356,32 +356,19 @@ def _equality_row(r: int, epsilon: float) -> tuple[dict, list]:
 
 def _cheat_set_draws(cb: Codebook, samples: int, seed: int, r_max: int):
     """The cheat-set row's draws, in order: per sample a size ``r`` uniform in
-    [2, r_max], then ``r`` distinct indices.  Yields them in chunks, lists of
-    index arrays.  A chunk holds at least one draw, and more only while the
-    draws' index arrays, packed codewords and float64 Grams stay within
-    ``_GRAM_BLOCK_BYTES``, so the memory held does not grow with
-    ``samples``."""
+    [2, r_max], then ``r`` distinct indices, yielded as one index array."""
     rng = make_rng(seed)
-    width = (cb.code.m + 7) // 8
-    chunk, held = [], 0
     for _ in range(samples):
         r = int(rng.integers(2, r_max + 1))
-        draw = rng.choice(cb.size, size=r, replace=False)
-        size = sys.getsizeof(draw) + r * width + 8 * r * r
-        if chunk and held + size > protocol2._GRAM_BLOCK_BYTES:
-            yield chunk
-            chunk, held = [], 0
-        chunk.append(draw)
-        held += size
-    if chunk:
-        yield chunk
+        yield rng.choice(cb.size, size=r, replace=False)
 
 
 def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> tuple[dict, list, bool]:
     """The sampled cheat-set row, its gated gap and its certificate check,
-    which fails the row without counting as a sound violation.  Each chunk
-    of draws is solved once per cheat-set size: one Gram stack and one
-    eigensolve of it."""
+    which fails the row without counting as a sound violation.
+    :func:`protocol2.cheat_set_grams` reads the draws as they come and alone
+    decides what a batch holds; each batch is solved once per cheat-set
+    size: one Gram stack and one eigensolve of it."""
     eps = cb.epsilon_certified
     certified = verify_epsilon(cb) == eps
     r_max = cb.size
@@ -400,12 +387,11 @@ def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> tuple[dict, list, b
         return row, [], certified
     worst = -math.inf
     violations = 0
-    for chunk in _cheat_set_draws(cb, samples, seed, r_max):
-        for r, grams in protocol2.cheat_set_grams(cb, chunk).items():
-            lam = _eigvalsh(grams)[:, -1]
-            excess = lam - protocol2.binding_bound2(r, eps)
-            worst = max(worst, float(excess.max()))
-            violations += int(np.count_nonzero(excess > _BOUND_TOL))
+    for r, grams in protocol2.cheat_set_grams(cb, _cheat_set_draws(cb, samples, seed, r_max)):
+        lam = _eigvalsh(grams)[:, -1]
+        excess = lam - protocol2.binding_bound2(r, eps)
+        worst = max(worst, float(excess.max()))
+        violations += int(np.count_nonzero(excess > _BOUND_TOL))
     row.update({"lambda_max": None, "gap": worst, "violations": violations})
     return row, [(max(0.0, worst), _BOUND_TOL)], certified
 

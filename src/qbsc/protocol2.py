@@ -12,15 +12,16 @@ verdict drawn from it.
 Spectra are taken from the code's own small objects.  ``Q`` shares its
 nonzero spectrum with the ``r x r`` Gram matrix of the cheat set, whose
 entries ``1 - 2 d_ij / m`` follow from codeword distances, so the reveal-set
-top eigenvalue is an ``r x r`` solve; the Gram matrices of many cheat sets
-of one size come as one stack, for one stacked solve.  The uniform code
-ensemble has density entries ``[column j of G == column l of G] / m``, so
-its entropy, like the receiver's exact chance of guessing the whole
-string, follows in closed form from the multiplicities of the generator's
-columns: the code's cached ``column_classes``, their one source.  The
-dense ``Q`` serves the top-eigenvector cheat strategy of ``qbsc cheat``: a
-real float64 ``dim x dim`` matrix from one batch of codewords, since the
-states' amplitudes are real.
+top eigenvalue is an ``r x r`` solve.  :func:`cheat_set_grams` reads a
+stream of cheat sets, alone decides what a batch holds, and gives each
+batch's Gram matrices of one size as one stack, for one stacked solve.
+The uniform code ensemble has density entries ``[column j of G == column
+l of G] / m``, so its entropy, like the receiver's exact chance of
+guessing the whole string, follows in closed form from the multiplicities
+of the generator's columns: the code's cached ``column_classes``, their
+one source.  The dense ``Q`` serves the top-eigenvector cheat strategy of
+``qbsc cheat``: a real float64 ``dim x dim`` matrix from one batch of
+codewords, since the states' amplitudes are real.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import _BOUND_TOL, projection_probability
 
-# XORed bytes held at once by cheat_set_grams, and the bytes of one chunk
-# of a cheat-set row's draws: their index arrays, codewords and Grams
+# bytes of one batch of cheat_set_grams, all that it holds
 _GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -129,25 +129,44 @@ def q_operator(cb: Codebook, s: CheatSet) -> HermitianOp:
     return HermitianOp(mat)
 
 
-def cheat_set_grams(cb: Codebook, cheat_sets) -> dict[int, np.ndarray]:
-    """Real Gram matrices ``1 - 2 d_ij / m`` of cheat sets, stacked by size.
+def cheat_set_grams(cb: Codebook, cheat_sets):
+    """Real Gram matrices ``1 - 2 d_ij / m`` of cheat sets, in batches.
 
-    ``cheat_sets`` is a sequence of index sequences (the rows of an ``(S,
-    r)`` array, say), each non-empty and of distinct indices; the code's
-    codewords refuse an index out of range.  Returns, for each size ``r``
-    in order of first appearance, the ``(S_r, r, r)`` stack of that size's
-    matrices in the order of their sets.  All the codewords come from one
-    packed lookup, and ``d_ij`` is the popcount of the XOR of two of them,
-    read in the widest words their packed length divides.  Each size's XOR
-    is taken for blocks of whole sets, or of one set's rows against all its
-    codewords, at most ``_GRAM_BLOCK_BYTES`` at once (one row at least).
+    ``cheat_sets`` is any iterable of index sequences (rows of an ``(S, r)``
+    array, or a generator of draws), each non-empty and of distinct
+    indices; the code's codewords refuse an index out of range.  It is read
+    once, in order, and this function alone decides what a batch holds:
+    whole sets while their int64 indices, packed codewords, XOR words and
+    float64 Grams fit in ``_GRAM_BLOCK_BYTES``, one set at least.  Per batch
+    it yields ``(r, stack)`` per size in order of first appearance, the
+    ``(S_r, r, r)`` Grams of that size in set order.  A batch's codewords
+    come from one packed lookup; ``d_ij`` is the popcount of the XOR of two,
+    in the widest words their packed length divides.  A set whose XOR
+    alone exceeds the budget is XORed in blocks of its rows, one at least.
+    numpy's ufunc buffers add about 120 KiB, however large the budget.
     Each matrix has the nonzero spectrum of :func:`q_operator`.
     """
-    by_size: dict[int, list] = {}
+    width = (cb.code.m + 7) // 8
+    batch, held = [], 0
     for indices in cheat_sets:
         indices = np.asarray(indices)
         if indices.ndim != 1 or indices.size < 1 or indices.dtype.kind not in "iu":
             raise InputError(f"cheat set {indices.tolist()!r} is not a non-empty index sequence")
+        r = indices.size
+        size = r * (8 + width) + r * r * (width + 8)
+        if batch and held + size > _GRAM_BLOCK_BYTES:
+            yield from _batch_grams(cb, batch)
+            batch, held = [], 0
+        batch.append(indices)
+        held += size
+    if batch:
+        yield from _batch_grams(cb, batch)
+
+
+def _batch_grams(cb: Codebook, batch: list):
+    """``(r, stack)`` per size of one batch of :func:`cheat_set_grams`."""
+    by_size: dict[int, list] = {}
+    for indices in batch:
         by_size.setdefault(indices.size, []).append(indices)
     stacks = {r: np.array(sets) for r, sets in by_size.items()}
     for stack in stacks.values():
@@ -156,27 +175,22 @@ def cheat_set_grams(cb: Codebook, cheat_sets) -> dict[int, np.ndarray]:
         if repeats.any():
             bad = stack[repeats.any(axis=1).argmax()].tolist()
             raise InputError(f"cheat set has duplicated indices: {bad}")
-    flat = [np.empty(0, dtype=np.int64), *(stack.ravel() for stack in stacks.values())]
+    flat = [stack.ravel() for stack in stacks.values()]
     packed = cb.code._packed_words(np.concatenate(flat, dtype=np.int64))
     width = packed.shape[1]
-    itemsize = min(8, width & -width)
-    words = packed.view(f"u{itemsize}")
-    grams, offset = {}, 0
+    words = packed.view(f"u{min(8, width & -width)}")
+    offset = 0
     for r, stack in stacks.items():
         sets = len(stack)
         size_words = words[offset : offset + sets * r].reshape(sets, r, -1)
         offset += sets * r
-        rows = min(r, max(1, _GRAM_BLOCK_BYTES // (r * width)))
-        step = max(1, _GRAM_BLOCK_BYTES // (rows * r * width))
-        grams[r] = np.empty((sets, r, r))
-        for first in range(0, sets, step):
-            block = size_words[first : first + step]
-            for top in range(0, r, rows):
-                xor = block[:, top : top + rows, None] ^ block[:, None]
-                distances = np.bitwise_count(xor).sum(axis=3)
-                gram = 1.0 - 2.0 * distances / cb.code.m
-                grams[r][first : first + step, top : top + rows] = gram
-    return grams
+        rows = min(r, max(1, _GRAM_BLOCK_BYTES // (sets * r * width)))
+        grams = np.empty((sets, r, r))
+        for top in range(0, r, rows):
+            xor = size_words[:, top : top + rows, None] ^ size_words[:, None]
+            distances = np.bitwise_count(xor).sum(axis=3)
+            grams[:, top : top + rows] = 1.0 - 2.0 * distances / cb.code.m
+        yield r, grams
 
 
 def binding_bound2(r: int, epsilon: float) -> float:
@@ -238,10 +252,14 @@ def guess_string_exact(cb: Codebook) -> float:
     The states are one orbit of ``Z_2^k`` acting by sign flips, so the
     square-root measurement is optimal (Eldar & Forney, IEEE TIT 47, 858,
     2001), and the characters of the group diagonalise the Gram matrix,
-    with eigenvalue ``2^k t_a / m`` on class ``a``.
+    with eigenvalue ``2^k t_a / m`` on class ``a``.  The square is summed as
+    ``m`` plus the cross terms ``sqrt(t_a t_b)``, ``a != b``, so one class
+    (``sqrt(m)`` squared would round off ``m``) and distinct columns give
+    their values exactly; rounding elsewhere is capped at 1.
     """
-    roots = np.sqrt(cb.code.column_classes[1]).sum()
-    return float(roots * roots / (cb.size * cb.dim))
+    roots = np.sqrt(cb.code.column_classes[1])
+    cross = (roots * (roots.sum() - roots)).sum()
+    return min(1.0, float((cb.dim + cross) / (cb.size * cb.dim)))
 
 
 def hiding_bound2(cb: Codebook) -> float:

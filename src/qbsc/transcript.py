@@ -126,8 +126,10 @@ def amplitude_pairs(ket: Ket) -> list[list[float]]:
     return ket.amps.view(np.float64).reshape(-1, 2).tolist()
 
 
-def matrix_pairs(op: DensityMatrix) -> list[list[list[float]]]:
-    entries = np.asarray(op.mat, dtype=complex).view(np.float64)
+def matrix_pairs(op: DensityMatrix | Ket) -> list[list[list[float]]]:
+    """Entries of a density matrix, or of a Ket's projector, as [re, im]."""
+    mat = np.outer(op.amps, op.amps.conj()) if isinstance(op, Ket) else op.mat
+    entries = np.asarray(mat, dtype=complex).view(np.float64)
     return entries.reshape(op.dim, op.dim, 2).tolist()
 
 

@@ -330,6 +330,16 @@ class TestCodebookCommands:
         # the receiver's exact whole-string guess, 26 distinct columns of 32
         assert "\nguess_string_exact: 0.39619690184059703\n" in out
 
+    def test_info_of_one_state_guesses_surely(self, tmp_path, capsys):
+        # k = 0, m = 5: sqrt(5) squared rounds above 5
+        cb = codebook_module.fingerprint_states(
+            codebook_module.BinaryCode(np.zeros((0, 5), dtype=np.uint8)), 0
+        )
+        path = tmp_path / "one_state.json"
+        path.write_text(cb.to_json())
+        assert run("codebook", "info", "--codebook", path) == 0
+        assert "\nguess_string_exact: 1\n" in capsys.readouterr().out
+
     def test_verify_ok(self, codebook_path):
         assert run("codebook", "verify", "--codebook", codebook_path) == 0
 

@@ -858,7 +858,7 @@ class TestNoPerMessageWork:
         counting_method(monkeypatch, BinaryCode, "_packed_words", calls)
         cb = generate_certified_codebook(32, 0.5, 6, seed=1)
         calls.clear()
-        protocol2.cheat_set_grams(cb, [[3, 17, 40], [0, 9], [5, 6, 7], [1, 2, 4, 8]])
+        list(protocol2.cheat_set_grams(cb, [[3, 17, 40], [0, 9], [5, 6, 7], [1, 2, 4, 8]]))
         assert calls == ["_packed_words"]
 
 

@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -207,6 +206,17 @@ def stream_draws(cb, samples, seed) -> list:
     return draws
 
 
+def record_lookups(monkeypatch) -> list:
+    """The length of each packed codeword lookup made from now on."""
+    lookups = []
+    original = BinaryCode._packed_words
+    monkeypatch.setattr(
+        BinaryCode, "_packed_words",
+        lambda code, messages: lookups.append(len(messages)) or original(code, messages),
+    )
+    return lookups
+
+
 class TestCheatSetRow:
     """The cheat-set row solves its draws once per size, and reads as the
     per-sample row did, bit for bit."""
@@ -234,54 +244,63 @@ class TestCheatSetRow:
             assert row["violations"] > 0 and row["pass"] is False
 
     @staticmethod
-    def footprint(cb, chunk) -> int:
-        """Bytes of a chunk's draws as index arrays of their own, packed
-        codewords and float64 Gram matrices."""
+    def batches(cb, draws, lookups) -> list:
+        """The batches :func:`protocol2.cheat_set_grams` makes of ``draws``:
+        per batch its ``(r, count)`` pairs.  Each batch opens with its one
+        codeword lookup, recorded in ``lookups`` (empty at the start)."""
+        batches = []
+        for r, stack in protocol2.cheat_set_grams(cb, draws):
+            if len(batches) < len(lookups):
+                batches.append([])
+            batches[-1].append((r, len(stack)))
+        assert lookups == [sum(r * count for r, count in batch) for batch in batches]
+        return batches
+
+    @staticmethod
+    def footprint(cb, batch) -> int:
+        """Bytes of a batch's sets as int64 index arrays, packed codewords,
+        XOR words and float64 Gram matrices."""
         width = (cb.code.m + 7) // 8
-        own = sys.getsizeof(np.arange(2)) - 16  # an index array's header
-        return sum(own + 8 * len(d) + len(d) * width + 8 * len(d) ** 2 for d in chunk)
+        return sum(count * (8 * r + r * width + r * r * width + 8 * r * r) for r, count in batch)
 
     @pytest.mark.parametrize("cap", [None, 1 << 12, 1])
-    def test_one_lookup_per_chunk_and_one_solve_per_size(self, monkeypatch, cap):
+    def test_one_lookup_per_batch_and_one_solve_per_size(self, monkeypatch, cap):
         cb = cheat_codebook("k8-m256")
         expected = cheat_row(cb, 200, 7)
         if cap is not None:
             monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
-        chunks = list(harness._cheat_set_draws(cb, 200, 7, largest_cheat_set(cb)))
-        lookups, solves = [], []
-        original = BinaryCode._packed_words
-        monkeypatch.setattr(
-            BinaryCode, "_packed_words",
-            lambda code, messages: lookups.append(len(messages)) or original(code, messages),
-        )
+        lookups = record_lookups(monkeypatch)
+        draws = harness._cheat_set_draws(cb, 200, 7, largest_cheat_set(cb))
+        batches = self.batches(cb, draws, lookups)
+        lookups.clear()
+        solves = []
         solve = harness._eigvalsh
         monkeypatch.setattr(
             harness, "_eigvalsh", lambda mat: solves.append(mat.shape) or solve(mat)
         )
         row, gaps, _ = harness._cheat_set_row(cb, 200, 7)
         assert (repr(row["gap"]), row["violations"]) == (expected["gap"], expected["violations"])
-        assert lookups == [sum(map(len, chunk)) for chunk in chunks]
-        sizes = []
-        for chunk in chunks:
-            counts = {}
-            for draw in chunk:
-                counts[len(draw)] = counts.get(len(draw), 0) + 1
-            sizes += [(count, r, r) for r, count in counts.items()]
-        assert solves == sizes
-        # one chunk by default, several under a few KiB, one draw each under 1 byte
-        assert len(chunks) == 1 if cap is None else 1 < len(chunks) <= 200
-        assert (len(chunks) == 200) == (cap == 1)
+        assert lookups == [sum(r * count for r, count in batch) for batch in batches]
+        assert solves == [(count, r, r) for batch in batches for r, count in batch]
+        for batch in batches:
+            assert len({r for r, _ in batch}) == len(batch)  # one solve per size
+        # one batch by default, several under a few KiB, one draw each under 1 byte
+        assert len(batches) == 1 if cap is None else 1 < len(batches) <= 200
+        assert (len(batches) == 200) == (cap == 1)
 
     @pytest.mark.parametrize("cap", [1 << 10, 1 << 13])
-    def test_chunks_hold_the_stream_within_the_cap(self, monkeypatch, cap):
+    def test_batches_hold_the_stream_within_the_cap(self, monkeypatch, cap):
         cb = cheat_codebook("epsilon0-k6")
-        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
-        chunks = list(harness._cheat_set_draws(cb, 500, 2, 64))
-        for chunk in chunks:
-            assert len(chunk) == 1 or self.footprint(cb, chunk) <= cap
-        drawn = [tuple(draw.tolist()) for chunk in chunks for draw in chunk]
+        drawn = [tuple(draw.tolist()) for draw in harness._cheat_set_draws(cb, 500, 2, 64)]
         assert drawn == stream_draws(cb, 500, 2)
-        assert len(chunks) > 1 and max(map(len, chunks)) > 1
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
+        lookups = record_lookups(monkeypatch)
+        batches = self.batches(cb, harness._cheat_set_draws(cb, 500, 2, 64), lookups)
+        for batch in batches:
+            sets = sum(count for _, count in batch)
+            assert sets == 1 or self.footprint(cb, batch) <= cap
+        assert sum(count for batch in batches for _, count in batch) == 500
+        assert len(batches) > 1 and max(sum(c for _, c in batch) for batch in batches) > 1
 
     def test_memory_does_not_grow_with_the_samples(self, monkeypatch):
         cb = cheat_codebook("pinned")
@@ -459,6 +478,29 @@ class TestSessionPipeline:
         assert commitment.state.mat.dtype == dtype
         assert np.array_equal(commitment.state.mat, rho.mat)
 
+    def test_mixed_protocol1_message_goes_out_as_density_matrices(self):
+        # a Ket beside density matrices is written as its projector, and the
+        # verified acceptance is the verifier's on the commitment itself
+        params = protocol1.SecurityParams(theta=0.3, n=3)
+        kets = protocol1.commit("011", params).qubits
+        mixed = (kets[0], DensityMatrix(np.diag([0.25, 0.75])), kets[2])
+        expected = protocol1.verify_unveil(protocol1.Commitment1(mixed, params), "010")[0]
+        sent = harness.committed_transcript(1, 4, mixed, params=params)
+        assert sent.commit["message"]["kind"] == "qubit_density_matrices"
+        read = Transcript.from_json(sent.to_json())
+        verified = verify_session(unveil_session(read, "010"))
+        assert verified.verify["accept_probability"] == pytest.approx(expected, rel=1e-12)
+        # all-Ket and all-density messages keep their kinds and entries
+        pure = harness.committed_transcript(1, 4, kets, params=params).commit["message"]
+        assert pure == {"kind": "qubit_amplitudes",
+                        "qubits": [q.amps.view(np.float64).reshape(-1, 2).tolist() for q in kets]}
+        rhos = tuple(DensityMatrix(np.outer(q.amps, q.amps.conj())) for q in kets)
+        dense = harness.committed_transcript(1, 4, rhos, params=params).commit["message"]
+        assert dense["kind"] == "qubit_density_matrices"
+        assert dense["qubits"] == [
+            np.asarray(r.mat, dtype=complex).view(np.float64).reshape(2, 2, 2).tolist() for r in rhos
+        ]
+
     def test_verify_rejects_unknown_mode(self):
         t = unveil_session(commit_session(1, "01", seed=3, theta=0.2), "01")
         with pytest.raises(InputError):
@@ -510,3 +552,21 @@ def test_generator_columns_have_one_owner():
         for alias in node.names
     ]
     assert imported and not any("column" in name for name in imported)
+
+
+def test_cheat_set_batches_have_one_owner():
+    """``protocol2.cheat_set_grams`` alone sizes the audit's batches: its
+    budget is named nowhere else in the package, and ``harness`` takes no
+    object sizes of its own."""
+    package = Path(harness.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert ("_GRAM_BLOCK_BYTES" in path.read_text()) == (path.name == "protocol2.py"), path.name
+    tree = ast.parse(Path(harness.__file__).read_text())
+    imported = {
+        alias.name.split(".")[0] for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names
+    }
+    assert "sys" not in imported
+    assert not any(
+        isinstance(node, ast.ImportFrom) and node.module == "sys" for node in ast.walk(tree)
+    )

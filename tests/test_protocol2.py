@@ -386,10 +386,12 @@ class TestGuessStringExact:
         self.assert_matches_optimal_measurement(cb)
         assert protocol2.guess_string_exact(cb) < m / 2**k
 
-    @pytest.mark.parametrize("m", [1, 5, 64])
+    @pytest.mark.parametrize("m", range(1, 65))
     def test_single_state_is_guessed_surely(self, m):
+        # exactly 1, though sqrt(m) squared rounds off m for most m: above
+        # it at m = 5, below at m = 3
         cb = columns_codebook(0, [0] * m)
-        assert protocol2.guess_string_exact(cb) == pytest.approx(1.0, abs=1e-15)
+        assert protocol2.guess_string_exact(cb) == 1.0
         self.assert_matches_optimal_measurement(cb)
 
     def test_one_bit(self):
@@ -413,8 +415,24 @@ class TestGuessStringExact:
         # 26 distinct columns of 32, so below dim / size = 0.5
         assert pinned_codebook.code.column_classes[0].size == 26
         value = protocol2.guess_string_exact(pinned_codebook)
-        assert value == pytest.approx(0.396196901840597, abs=1e-15)
+        assert value == 0.39619690184059703
         self.assert_matches_optimal_measurement(pinned_codebook)
+
+
+def grams_by_size(cb, cheat_sets) -> dict:
+    """The stacks :func:`cheat_set_grams` yields, joined by size in order of
+    first appearance."""
+    joined: dict = {}
+    for r, stack in cheat_set_grams(cb, cheat_sets):
+        joined.setdefault(r, []).append(stack)
+    return {r: np.concatenate(stacks) for r, stacks in joined.items()}
+
+
+def set_bytes(cb, r: int) -> int:
+    """What one set of size ``r`` adds to a batch: int64 indices, packed
+    codewords, XOR words and float64 Grams."""
+    width = (cb.code.m + 7) // 8
+    return 8 * r + r * width + r * r * width + 8 * r * r
 
 
 def dense_ensemble_entropy(cb):
@@ -433,14 +451,14 @@ class TestSmallMatrixSpectra:
         r_max = min(cb.size, math.ceil(1.0 / cb.epsilon_certified))
         for r in range(1, r_max + 1):
             s = cheat_set_for(cb, rng.choice(cb.size, size=r, replace=False).tolist())
-            gram = cheat_set_grams(cb, [s.indices])[r][0]
+            gram = grams_by_size(cb, [s.indices])[r][0]
             assert gram.shape == (r, r) and gram.dtype == float
             dense = np.linalg.eigvalsh(q_operator(cb, s).mat)[-1]
             assert abs(np.linalg.eigvalsh(gram)[-1] - dense) <= 1e-12
 
     def test_gram_entries_are_inner_products(self, pinned_codebook):
         s = cheat_set_for(pinned_codebook, [0, 9, 33])
-        gram = cheat_set_grams(pinned_codebook, [s.indices])[3][0]
+        gram = grams_by_size(pinned_codebook, [s.indices])[3][0]
         for a, i in enumerate(s.indices):
             for b, j in enumerate(s.indices):
                 direct = np.vdot(pinned_codebook.state(i).amps,
@@ -459,28 +477,77 @@ class TestSmallMatrixSpectra:
         rng = np.random.default_rng(seed)
         indices = np.array([rng.permutation(cb.size)[:r] for _ in range(sets)])
         words = (m + 7) // 8 * r  # packed bytes of one cheat set's codewords
-        cap = {"one-row": words + 5, "uneven": 3 * words + 5, "few-sets": 2 * r * words + 5}
+        cap = {"one-row": words + 5, "uneven": 3 * words + 5, "few-sets": 2 * set_bytes(cb, r) + 5}
         if block != "default":
             monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap[block])
-        grams = cheat_set_grams(cb, indices)[r]
+        grams = grams_by_size(cb, indices)[r]
         expected = np.stack([python_int_cheat_set_gram(cb, CheatSet(row)) for row in indices])
         assert grams.dtype == expected.dtype and grams.shape == (sets, r, r)
         assert grams.tobytes() == expected.tobytes()
 
     def test_sets_of_mixed_sizes_are_stacked_by_size(self, monkeypatch):
         # sizes in order of first appearance, sets in order within each size,
-        # whole sets per block or rows of one set, as the byte cap allows
+        # whole sets per batch or rows of one set, as the byte cap allows
         cb = fingerprint_states(generate_code(7, 77, 2), 2)
         rng = np.random.default_rng(2)
         sets = [rng.permutation(cb.size)[:r] for r in (5, 2, 5, 9, 2, 2, 1)]
         for cap in (None, 5 * 10 * 3, 1):
             if cap is not None:
                 monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
-            grams = cheat_set_grams(cb, sets)
+            grams = grams_by_size(cb, sets)
             assert list(grams) == [5, 2, 9, 1]
             for r, stack in grams.items():
                 expected = [python_int_cheat_set_gram(cb, CheatSet(s)) for s in sets if len(s) == r]
                 assert stack.tobytes() == np.stack(expected).tobytes()
+
+    @pytest.mark.parametrize("cap", [None, 1 << 12, 1])
+    def test_reads_a_stream_once_in_order_in_batches_within_the_cap(self, monkeypatch, cap):
+        # a generator of sets is read as the batches go, each batch one
+        # lookup that fits the cap or holds one set, and the stacks joined
+        # by size are those of the same sets given as a list
+        cb = fingerprint_states(generate_code(7, 77, 2), 2)
+        rng = np.random.default_rng(5)
+        sets = [rng.permutation(cb.size)[: rng.integers(2, 13)] for _ in range(40)]
+        expected = grams_by_size(cb, sets)
+        if cap is not None:
+            monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
+        read, lookups = [], []
+        original = BinaryCode._packed_words
+        monkeypatch.setattr(
+            BinaryCode, "_packed_words",
+            lambda code, messages: lookups.append(len(messages)) or original(code, messages),
+        )
+
+        def stream():
+            for i, indices in enumerate(sets):
+                read.append(i)
+                yield indices
+
+        batches: list = []
+        for r, stack in cheat_set_grams(cb, stream()):
+            if len(batches) < len(lookups):
+                batches.append([])
+            batches[-1].append((r, stack, len(read)))
+        assert read == list(range(len(sets)))
+        joined: dict = {}
+        done = 0
+        for batch, looked_up in zip(batches, lookups, strict=True):
+            sizes = [r for r, _, _ in batch]
+            assert len(set(sizes)) == len(sizes)
+            count = sum(len(stack) for _, stack, _ in batch)
+            assert looked_up == sum(r * len(stack) for r, stack, _ in batch)
+            held = sum(len(stack) * set_bytes(cb, r) for r, stack, _ in batch)
+            assert count == 1 or held <= (cap or protocol2._GRAM_BLOCK_BYTES)
+            done += count
+            # no set past the one that closed the batch has been read
+            assert all(at <= done + 1 for _, _, at in batch)
+            for r, stack, _ in batch:
+                joined.setdefault(r, []).append(stack)
+        assert list(joined) == list(expected)
+        for r, stacks in joined.items():
+            assert np.concatenate(stacks).tobytes() == expected[r].tobytes()
+        assert (len(batches) == 1) == (cap is None)
+        assert (len(batches) == len(sets)) == (cap == 1)
 
     def test_xor_blocks_stay_within_the_cap(self, monkeypatch):
         # whole sets while they fit, then rows of one set, and one row at least
@@ -490,17 +557,17 @@ class TestSmallMatrixSpectra:
         blocks = []
         original = np.bitwise_count
         monkeypatch.setattr(np, "bitwise_count", lambda x: blocks.append(x.nbytes) or original(x))
-        for cap, largest in [(2 * 81 * width, 2 * 81 * width), (81 * width - 1, 8 * 9 * width),
-                             (9 * width - 1, 9 * width)]:
+        for cap, largest in [(2 * set_bytes(cb, 9), 2 * 81 * width),
+                             (81 * width - 1, 8 * 9 * width), (9 * width - 1, 9 * width)]:
             monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
             blocks.clear()
-            cheat_set_grams(cb, indices)
+            list(cheat_set_grams(cb, indices))
             assert max(blocks) == largest and sum(blocks) == 5 * 81 * width
 
     def test_gram_rejects_out_of_range_index(self, pinned_codebook):
         for indices in ([[0, 64]], [[0, 5], [-1, 5]]):
             with pytest.raises(InputError):
-                cheat_set_grams(pinned_codebook, indices)
+                list(cheat_set_grams(pinned_codebook, indices))
 
     @pytest.mark.parametrize(
         "indices",
@@ -511,24 +578,24 @@ class TestSmallMatrixSpectra:
     )
     def test_gram_rejects_malformed_sets(self, pinned_codebook, indices):
         with pytest.raises(InputError):
-            cheat_set_grams(pinned_codebook, indices)
+            list(cheat_set_grams(pinned_codebook, indices))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
     def test_gram_reads_any_integer_dtype(self, pinned_codebook, dtype):
         indices = np.array([[3, 17, 40], [0, 9, 33]])
-        expected = cheat_set_grams(pinned_codebook, indices)[3]
-        grams = cheat_set_grams(pinned_codebook, indices.astype(dtype))[3]
+        expected = grams_by_size(pinned_codebook, indices)[3]
+        grams = grams_by_size(pinned_codebook, indices.astype(dtype))[3]
         assert grams.tobytes() == expected.tobytes()
 
     def test_gram_of_no_sets_is_empty(self, pinned_codebook):
-        assert cheat_set_grams(pinned_codebook, []) == {}
-        assert cheat_set_grams(pinned_codebook, np.empty((0, 3), dtype=np.int64)) == {}
+        assert list(cheat_set_grams(pinned_codebook, [])) == []
+        assert list(cheat_set_grams(pinned_codebook, np.empty((0, 3), dtype=np.int64))) == []
 
     @pytest.mark.parametrize("index", [64, -1])
     @pytest.mark.parametrize(
         "build",
         [
-            pytest.param(lambda cb, s: cheat_set_grams(cb, [s.indices]), id="cheat_set_gram"),
+            pytest.param(lambda cb, s: list(cheat_set_grams(cb, [s.indices])), id="cheat_set_gram"),
             q_operator,
         ],
     )
