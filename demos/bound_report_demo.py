@@ -4,7 +4,6 @@ Run with: python demos/bound_report_demo.py [output-basename]
 """
 
 import sys
-from pathlib import Path
 
 from qbsc import generate_certified_codebook
 from qbsc.harness import bound_sweep
@@ -46,13 +45,6 @@ for row in report.rows:
         print(f"codebook cheat sets: {row['samples']} samples, "
               f"{row['violations']} violations, worst margin {row['gap']:.3e}")
 
-# named as `qbsc bounds --out` names them: a .json or .csv suffix is dropped,
-# and the extensions are appended, so any other dot in the name stays
-base = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("bound_report")
-if base.suffix in (".json", ".csv"):
-    base = base.with_suffix("")
-json_path = base.with_name(base.name + ".json")
-csv_path = base.with_name(base.name + ".csv")
-json_path.write_text(report.to_json())
-csv_path.write_text(report.to_csv())
+# named as `qbsc bounds --out` names them, by the report's own rule
+json_path, csv_path = report.write(sys.argv[1] if len(sys.argv) > 1 else "bound_report")
 print(f"\nwrote {json_path} and {csv_path}")

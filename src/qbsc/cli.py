@@ -100,16 +100,7 @@ def _cmd_bounds(args) -> int:
         cheat_samples=args.cheat_samples,
         seed=args.seed,
     )
-    base = Path(args.out)
-    if base.suffix in (".json", ".csv"):
-        base = base.with_suffix("")
-    # appended, not swapped in: any other dot in the name stays
-    json_path = base.with_name(base.name + ".json")
-    csv_path = base.with_name(base.name + ".csv")
-    if args.format in ("json", "both"):
-        json_path.write_text(report.to_json())
-    if args.format in ("csv", "both"):
-        csv_path.write_text(report.to_csv())
+    report.write(args.out, ("json", "csv") if args.format == "both" else (args.format,))
     summary = report.summary
     print(
         f"rows: {summary['rows']}  max sound violation: "

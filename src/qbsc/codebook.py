@@ -98,6 +98,13 @@ def derive_seed(root: int, attempt: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _index(value) -> int:
+    """An index: a Python or numpy integer, never a boolean, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"index {value!r} is not an integer")
+    return operator.index(value)
+
+
 def rank_gf2(mat: np.ndarray) -> int:
     """Rank of a 0/1 matrix over GF(2).
 
@@ -211,12 +218,14 @@ class BinaryCode:
         indices, packed like the generator rows.
 
         Each is the XOR of the packed rows its message selects.  The
-        messages are read at once, as int64 (as Python integers for ``k``
+        messages are read at once (an integer array by its dtype, others
+        each by :func:`_index`), as int64 (as Python integers for ``k``
         above 63), and each of their bytes looks up the whole batch's
         partial words in one table of :attr:`_byte_tables`.
         """
         k = self.k
-        values = list(map(operator.index, messages))
+        integral = isinstance(messages, np.ndarray) and messages.dtype.kind in "iu"
+        values = messages.tolist() if integral and messages.ndim == 1 else list(map(_index, messages))
         if values and (min(values) < 0 or max(values) >> k):
             bad = next(x for x in values if x < 0 or x >> k)
             raise InputError(f"message {bad} out of range for k={k}")

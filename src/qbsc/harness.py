@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -284,6 +285,19 @@ class BoundReport:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
+    def write(self, out, formats=("json", "csv")) -> list[Path]:
+        """Write the report in each of ``formats`` to ``out`` with the
+        format's extension appended, after dropping a trailing ``.json`` or
+        ``.csv`` (any other dot stays), and return the paths written."""
+        base = Path(out)
+        if base.suffix in (".json", ".csv"):
+            base = base.with_suffix("")
+        text = {"json": self.to_json, "csv": self.to_csv}
+        paths = [base.with_name(f"{base.name}.{fmt}") for fmt in formats]
+        for fmt, path in zip(formats, paths):
+            path.write_text(text[fmt]())
+        return paths
+
 
 def _protocol1_row(
     theta: float, n: int, r: int, rhs: float, lam: float, brute: float | None
@@ -392,6 +406,7 @@ def _cheat_set_row(cb: Codebook, samples: int, seed: int) -> tuple[dict, list, b
         excess = lam - protocol2.binding_bound2(r, eps)
         worst = max(worst, float(excess.max()))
         violations += int(np.count_nonzero(excess > _BOUND_TOL))
+        del grams  # solved: freed before the next batch is built
     row.update({"lambda_max": None, "gap": worst, "violations": violations})
     return row, [(max(0.0, worst), _BOUND_TOL)], certified
 

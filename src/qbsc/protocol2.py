@@ -15,11 +15,17 @@ entries ``1 - 2 d_ij / m`` follow from codeword distances, so the reveal-set
 top eigenvalue is an ``r x r`` solve.  :func:`cheat_set_grams` reads a
 stream of cheat sets, alone decides what a batch holds, and gives each
 batch's Gram matrices of one size as one stack, for one stacked solve.
-The uniform code ensemble has density entries ``[column j of G == column
-l of G] / m``, so its entropy, like the receiver's exact chance of
-guessing the whole string, follows in closed form from the multiplicities
-of the generator's columns: the code's cached ``column_classes``, their
-one source.  The dense ``Q`` serves the top-eigenvector cheat strategy of
+Every cheat set, named (:class:`CheatSet`, :func:`cheat_set_for`) or
+sampled (:func:`cheat_set_grams`), is read by one private reader,
+``_cheat_sets``: a 1-D, non-empty sequence of distinct integers, in ``[0,
+2^k)`` once the codebook is known.  An integer array is read as it is, any
+other sequence one index at a time by the codebook's integer rule, so a
+float (even 3.0), a numeric string and a boolean are refused; each kind of
+failure has one ``InputError``.  The uniform code ensemble has density
+entries ``[column j of G == column l of G] / m``, so its entropy, like the
+receiver's exact chance of guessing the whole string, follows in closed
+form from the multiplicities of the generator's columns: the code's cached
+``column_classes``, their one source.  The dense ``Q`` serves the top-eigenvector cheat strategy of
 ``qbsc cheat``: a real float64 ``dim x dim`` matrix from one batch of
 codewords, since the states' amplitudes are real.
 """
@@ -27,16 +33,18 @@ codewords, since the states' amplitudes are real.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, _amplitudes, capacity
+from .codebook import Codebook, _amplitudes, _index, capacity
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
 from .protocol1 import _BOUND_TOL, projection_probability
 
-# bytes of one batch of cheat_set_grams, all that it holds
+# bytes of one batch of cheat_set_grams: its int64 indices, packed codewords,
+# XOR words and float64 Grams, all the arrays it holds while the Grams are built
 _GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -59,17 +67,15 @@ class Commitment2:
 
 @dataclass(frozen=True)
 class CheatSet:
-    """Distinct codebook indices a dishonest committer keeps open."""
+    """Distinct codebook indices a dishonest committer keeps open, read by
+    :func:`_cheat_sets`; with no codebook to bound them, the range is left
+    to :func:`cheat_set_for` and to the code's codewords."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) == 0:
-            raise InputError("cheat set cannot be empty")
-        if len(set(idx)) != len(idx):
-            raise InputError(f"cheat set has duplicated indices: {idx}")
-        object.__setattr__(self, "indices", idx)
+        (stack,) = _cheat_sets([self.indices]).values()
+        object.__setattr__(self, "indices", tuple(stack[0].tolist()))
 
     @property
     def r(self) -> int:
@@ -77,14 +83,37 @@ class CheatSet:
 
 
 def cheat_set_for(cb: Codebook, indices) -> CheatSet:
-    """Validated cheat set for a codebook, including the overlap assumption
-    (r - 1) * epsilon < 1 that :func:`binding_bound2` checks."""
-    s = CheatSet(tuple(indices))
-    for i in s.indices:
-        if not 0 <= i < cb.size:
-            raise InputError(f"index {i} outside codebook of size {cb.size}")
-    binding_bound2(s.r, cb.epsilon_certified)
-    return s
+    """Cheat set for a codebook, read by :func:`_cheat_sets` with the
+    codebook's range, and the overlap assumption (r - 1) * epsilon < 1 that
+    :func:`binding_bound2` checks."""
+    (stack,) = _cheat_sets([indices], cb.size).values()
+    binding_bound2(stack.shape[1], cb.epsilon_certified)
+    return CheatSet(stack[0])
+
+
+def _cheat_sets(sets, size: int | None = None) -> dict[int, np.ndarray]:
+    """The one reader of cheat sets (see the module docstring): int64
+    ``(S_r, r)`` stacks by size, in order of first appearance, each set
+    checked for duplicates and, if ``size`` is given, range once per stack."""
+    by_size: dict = {}
+    for indices in sets:
+        if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"
+                and indices.dtype != np.uint64):  # int64 holds every other integer dtype
+            try:
+                indices = np.fromiter(map(_index, indices), np.int64)
+            except (InputError, TypeError, OverflowError):
+                indices = np.empty(0)
+        if indices.ndim != 1 or indices.size < 1:
+            raise InputError("cheat set must be a non-empty 1-D sequence of int64 integers")
+        by_size.setdefault(indices.size, []).append(indices)
+    for r, same in by_size.items():
+        stack = by_size[r] = np.array(same, dtype=np.int64)
+        ordered = np.sort(stack, axis=1)
+        if (repeats := (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)).any():
+            raise InputError(f"cheat set has duplicated indices: {stack[repeats.argmax()].tolist()}")
+        if size is not None and (outside := stack.view(np.uint64) >= size).any():
+            raise InputError(f"cheat set index {stack[outside][0]} outside codebook of size {size}")
+    return by_size
 
 
 def string_index(bits: str, n_bits: int) -> int:
@@ -133,26 +162,28 @@ def cheat_set_grams(cb: Codebook, cheat_sets):
     """Real Gram matrices ``1 - 2 d_ij / m`` of cheat sets, in batches.
 
     ``cheat_sets`` is any iterable of index sequences (rows of an ``(S, r)``
-    array, or a generator of draws), each non-empty and of distinct
-    indices; the code's codewords refuse an index out of range.  It is read
-    once, in order, and this function alone decides what a batch holds:
-    whole sets while their int64 indices, packed codewords, XOR words and
-    float64 Grams fit in ``_GRAM_BLOCK_BYTES``, one set at least.  Per batch
-    it yields ``(r, stack)`` per size in order of first appearance, the
-    ``(S_r, r, r)`` Grams of that size in set order.  A batch's codewords
-    come from one packed lookup; ``d_ij`` is the popcount of the XOR of two,
-    in the widest words their packed length divides.  A set whose XOR
-    alone exceeds the budget is XORed in blocks of its rows, one at least.
-    numpy's ufunc buffers add about 120 KiB, however large the budget.
-    Each matrix has the nonzero spectrum of :func:`q_operator`.
+    array, or a generator of draws), each batch of them read by
+    :func:`_cheat_sets` with the codebook's range.  It is read once, in
+    order, and this function alone decides what a batch holds: whole sets
+    while their int64 indices, packed codewords, XOR words and float64
+    Grams fit in ``_GRAM_BLOCK_BYTES``, one set at least.  Per batch it
+    yields ``(r, stack)`` per size in order of first appearance, the ``(S_r,
+    r, r)`` Grams of that size in set order.  A batch's codewords come from
+    one packed lookup, once its sets are stacked and dropped; ``d_ij`` is
+    the popcount of the XOR of two, in the widest words their packed length
+    divides, counted in the XOR's own words and summed straight into the
+    Grams, whose arithmetic is done in place.  A set whose XOR alone exceeds
+    the budget is XORed in blocks of its rows, one at least, so it holds
+    its other arrays and one block.  numpy's ufunc buffers and Python
+    objects add about 130 KiB, however large the budget.  Each matrix has
+    the nonzero spectrum of :func:`q_operator`.
     """
     width = (cb.code.m + 7) // 8
     batch, held = [], 0
     for indices in cheat_sets:
-        indices = np.asarray(indices)
-        if indices.ndim != 1 or indices.size < 1 or indices.dtype.kind not in "iu":
-            raise InputError(f"cheat set {indices.tolist()!r} is not a non-empty index sequence")
-        r = indices.size
+        if isinstance(indices, (Iterator, Set)):
+            indices = tuple(indices)  # np.size would count a one-shot or a Python set as one
+        r = np.size(indices)
         size = r * (8 + width) + r * r * (width + 8)
         if batch and held + size > _GRAM_BLOCK_BYTES:
             yield from _batch_grams(cb, batch)
@@ -165,18 +196,9 @@ def cheat_set_grams(cb: Codebook, cheat_sets):
 
 def _batch_grams(cb: Codebook, batch: list):
     """``(r, stack)`` per size of one batch of :func:`cheat_set_grams`."""
-    by_size: dict[int, list] = {}
-    for indices in batch:
-        by_size.setdefault(indices.size, []).append(indices)
-    stacks = {r: np.array(sets) for r, sets in by_size.items()}
-    for stack in stacks.values():
-        ordered = np.sort(stack, axis=1)
-        repeats = ordered[:, 1:] == ordered[:, :-1]
-        if repeats.any():
-            bad = stack[repeats.any(axis=1).argmax()].tolist()
-            raise InputError(f"cheat set has duplicated indices: {bad}")
-    flat = [stack.ravel() for stack in stacks.values()]
-    packed = cb.code._packed_words(np.concatenate(flat, dtype=np.int64))
+    stacks = _cheat_sets(batch, cb.size)
+    batch.clear()  # the stacks hold the indices now
+    packed = cb.code._packed_words(np.concatenate([stack.ravel() for stack in stacks.values()]))
     width = packed.shape[1]
     words = packed.view(f"u{min(8, width & -width)}")
     offset = 0
@@ -188,9 +210,15 @@ def _batch_grams(cb: Codebook, batch: list):
         grams = np.empty((sets, r, r))
         for top in range(0, r, rows):
             xor = size_words[:, top : top + rows, None] ^ size_words[:, None]
-            distances = np.bitwise_count(xor).sum(axis=3)
-            grams[:, top : top + rows] = 1.0 - 2.0 * distances / cb.code.m
+            np.bitwise_count(xor, out=xor)  # in place, then summed as integers
+            np.add.reduce(xor, axis=3, dtype=np.uint64, out=grams[:, top : top + rows])
+            del xor
+        # 1 - 2 d / m, in the order and so to the bytes of that expression
+        grams *= 2.0
+        grams /= cb.code.m
+        np.subtract(1.0, grams, out=grams)
         yield r, grams
+        del grams
 
 
 def binding_bound2(r: int, epsilon: float) -> float:

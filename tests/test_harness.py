@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,57 @@ class TestCheatSetRow:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("name", sorted(CHEAT_CODEBOOKS))
+    def test_never_holds_two_stacks(self, monkeypatch, name):
+        # each Gram stack is freed before the next one is allocated: the
+        # generator drops it once yielded, and the row once it is solved
+        allocated = []
+
+        class Numpy:
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def empty(self, shape, *args, **kwargs):
+                assert all(stack() is None for stack in allocated), "a solved stack is still held"
+                stack = np.empty(shape, *args, **kwargs)
+                allocated.append(weakref.ref(stack))
+                return stack
+
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", 1 << 11)
+        monkeypatch.setattr(protocol2, "np", Numpy())
+        row, _, _ = harness._cheat_set_row(cheat_codebook(name), 200, 7)
+        assert row["violations"] == 0 and len(allocated) > 1
+
+
+class TestReportFiles:
+    """``BoundReport.write`` owns the ``--out`` rule of ``qbsc bounds`` and
+    of the report demo: a trailing .json or .csv is dropped, the extensions
+    are appended, and any other dot stays."""
+
+    @pytest.mark.parametrize(
+        "out, names",
+        [("run.v2", ["run.v2.json", "run.v2.csv"]), ("run.v2.json", ["run.v2.json", "run.v2.csv"]),
+         ("report.csv", ["report.json", "report.csv"]), ("a.txt", ["a.txt.json", "a.txt.csv"])],
+    )
+    def test_names_and_writes_both_formats(self, tmp_path, out, names):
+        report = bound_sweep([0.2], [2], [1])
+        paths = report.write(tmp_path / out)
+        assert [path.name for path in paths] == names
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+        assert paths[0].read_text() == report.to_json() and paths[1].read_text() == report.to_csv()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writes_only_the_formats_asked_for(self, tmp_path, fmt):
+        report = bound_sweep([0.2], [2], [1])
+        assert report.write(tmp_path / "run.json", (fmt,)) == [tmp_path / f"run.{fmt}"]
+        assert [path.name for path in tmp_path.iterdir()] == [f"run.{fmt}"]
+
+    def test_the_rule_is_written_once(self):
+        root = Path(harness.__file__).parents[2]
+        for path in (root / "src" / "qbsc" / "cli.py", root / "demos" / "bound_report_demo.py"):
+            text = path.read_text()
+            assert "with_suffix" not in text and ".write(" in text, path.name
 
 
 class TestSweepLimits:

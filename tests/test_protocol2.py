@@ -1,4 +1,8 @@
+import collections
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from qbsc import (
     verify_unveil2,
     von_neumann_entropy,
 )
-from qbsc import protocol2
+from qbsc import harness, protocol2
 from qbsc.linalg import DensityMatrix
 from qbsc.codebook import make_rng
 from qbsc.errors import NumericalError
@@ -556,7 +560,7 @@ class TestSmallMatrixSpectra:
         width = (77 + 7) // 8
         blocks = []
         original = np.bitwise_count
-        monkeypatch.setattr(np, "bitwise_count", lambda x: blocks.append(x.nbytes) or original(x))
+        monkeypatch.setattr(np, "bitwise_count", lambda x, **out: blocks.append(x.nbytes) or original(x, **out))
         for cap, largest in [(2 * set_bytes(cb, 9), 2 * 81 * width),
                              (81 * width - 1, 8 * 9 * width), (9 * width - 1, 9 * width)]:
             monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", cap)
@@ -625,3 +629,152 @@ class TestSmallMatrixSpectra:
         monkeypatch.setattr(protocol2, "code_ensemble_entropy", lambda cb: 6.5)
         with pytest.raises(NumericalError):
             hiding_bound2(cb)
+
+
+# One bad cheat set per kind of input the one reader refuses, for the
+# README's k = 6 codebook of 64 states.  The range needs a codebook, which a
+# bare CheatSet does not hold, so it keeps the two range rows (and
+# test_builders_reject_out_of_range_index shows the code refusing them).
+BAD_SETS = {
+    "float-3.0": [3.0],
+    "float-3.9": [3.9, 5],
+    "numeric-string": ["3"],
+    "bool": [True],
+    "numpy-bool": [np.True_],
+    "negative": [-1],
+    "2^k": [64],
+    "repeat": [5, 5],
+    "empty": [],
+    "2-D": [[1, 2]],
+    "beyond-int64": [2**63],
+}
+SHAPE = "cheat set must be a non-empty 1-D sequence of int64 integers"
+REFUSAL = {
+    "negative": "cheat set index -1 outside codebook of size 64",
+    "2^k": "cheat set index 64 outside codebook of size 64",
+    "repeat": "cheat set has duplicated indices: [5, 5]",
+}
+NEEDS_CODEBOOK = ("negative", "2^k")
+# two float64 ufunc buffers of np.getbufsize() elements (the reduction into
+# the Grams casts through them) and a few KiB of Python objects
+UFUNC_BUFFERS = 2 * 8 * np.getbufsize() + (8 << 10)
+
+
+def set_readers(cb) -> dict:
+    """Every reader of a named or a sampled cheat set."""
+    return {
+        "CheatSet": CheatSet,
+        "cheat_set_for": lambda s: cheat_set_for(cb, s),
+        "cheat_set_grams": lambda s: list(cheat_set_grams(cb, [s])),
+        "cheat_set_grams-stack": lambda s: list(cheat_set_grams(cb, np.array([s]))),
+    }
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneIndexReader:
+    @pytest.mark.parametrize("name", list(BAD_SETS))
+    def test_every_set_reader_refuses_with_one_message(self, pinned_codebook, name):
+        messages = set()
+        for reader, read in set_readers(pinned_codebook).items():
+            for form in (list, np.array):
+                bad = form(BAD_SETS[name])
+                if reader == "CheatSet" and name in NEEDS_CODEBOOK:
+                    assert read(bad).indices == tuple(BAD_SETS[name])
+                    continue
+                with pytest.raises(InputError) as refused:
+                    read(bad)
+                messages.add(str(refused.value))
+        assert messages == {REFUSAL.get(name, SHAPE)}
+
+    @pytest.mark.parametrize(
+        "index", [3.0, 3.9, "3", True, np.True_, -1, 64],
+        ids=["3.0", "3.9", "numeric-string", "bool", "numpy-bool", "negative", "2^k"],
+    )
+    def test_single_index_readers_refuse(self, pinned_codebook, index):
+        with pytest.raises(InputError):
+            pinned_codebook.code.codewords([index])
+        with pytest.raises(InputError):
+            pinned_codebook.state(index)
+
+    def test_valid_forms_give_the_same_sets_and_grams(self, pinned_codebook):
+        forms = {
+            "tuple": lambda: (3, 17, 40),
+            "list": lambda: [3, 17, 40],
+            "numpy-ints": lambda: [np.int64(3), np.uint8(17), np.int32(40)],
+            "int64-array": lambda: np.array([3, 17, 40]),
+            "uint16-array": lambda: np.array([3, 17, 40], dtype=np.uint16),
+            "generator": lambda: (i for i in (3, 17, 40)),
+        }
+        expected = python_int_cheat_set_gram(pinned_codebook, CheatSet((3, 17, 40)))
+        for name, form in forms.items():
+            for s in (CheatSet(form()), cheat_set_for(pinned_codebook, form())):
+                assert s.indices == (3, 17, 40) and {type(i) for i in s.indices} == {int}, name
+            grams = grams_by_size(pinned_codebook, [form()])[3]
+            assert grams.tobytes() == expected.tobytes(), name
+        sets = [form() for form in forms.values()]
+        assert grams_by_size(pinned_codebook, sets)[3].tobytes() == np.stack([expected] * 6).tobytes()
+
+    def test_one_shot_and_python_sets_count_at_their_size(self, monkeypatch, pinned_codebook):
+        # three sets of size 3 do not fit one batch of 2 * set_bytes, whatever their form
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", 2 * set_bytes(pinned_codebook, 3))
+        for sets in ([(i for i in (3, 17, 40)), iter([1, 2, 5]), [7, 9, 11]],
+                     [{3, 17, 40}, frozenset({1, 2, 5}), {7, 9, 11}]):
+            assert [len(stack) for _, stack in cheat_set_grams(pinned_codebook, sets)] == [2, 1]
+
+    def test_each_set_check_and_refusal_is_written_once(self):
+        package = Path(protocol2.__file__).parent
+        source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+        for written in ("non-empty 1-D sequence", "duplicated indices", "outside codebook",
+                        "indices.ndim != 1", "ordered[:, 1:] == ordered[:, :-1]", ">= size"):
+            assert source.count(written) == 1, written
+        text = Path(protocol2.__file__).read_text()
+        assert "int(i) for i in" not in text
+        # the three readers of cheat sets all go through the one reader
+        for caller in ("class CheatSet", "def cheat_set_for", "def _batch_grams"):
+            body = text.split(caller, 1)[1].split("\ndef ", 1)[0]
+            assert "_cheat_sets(" in body, caller
+        assert len(re.findall(r"np\.sort\(", text)) == 1
+
+
+class TestGramMemory:
+    """Traced peaks of the Gram batches against what their budget counts."""
+
+    @pytest.mark.parametrize("k, m, r", [(10, 77, 12), (10, 72, 8), (10, 1024, 8), (6, 32, 3)])
+    @pytest.mark.parametrize("budget", [1 << 16, 1 << 20])
+    def test_many_small_sets_peak_within_the_budget(self, monkeypatch, k, m, r, budget):
+        # sets of one size, so each batch is one stack: the Gram arithmetic,
+        # the popcount and the sets themselves would all show beyond it
+        cb = fingerprint_states(generate_code(k, m, 1), 1)
+        rng = np.random.default_rng(0)
+        sets = np.array([rng.choice(cb.size, size=r, replace=False) for _ in range(4000)])
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", budget)
+        drain = lambda: collections.deque(cheat_set_grams(cb, sets), maxlen=0)  # noqa: E731
+        assert traced_peak(drain) <= budget + UFUNC_BUFFERS
+
+    def test_audit_draws_peak_within_the_budget(self, monkeypatch, wide_codebook):
+        budget = 1 << 18
+        monkeypatch.setattr(protocol2, "_GRAM_BLOCK_BYTES", budget)
+        draws = harness._cheat_set_draws(wide_codebook, 2000, 3, 12)
+        peak = traced_peak(lambda: collections.deque(cheat_set_grams(wide_codebook, draws), maxlen=0))
+        assert peak <= budget + UFUNC_BUFFERS
+
+    @pytest.mark.parametrize("r", [256, 512])
+    def test_an_oversize_set_holds_its_arrays_and_one_row_block(self, r):
+        # the epsilon = 0 Reed-Muller code at k = 10, m = 1024: r x r XOR
+        # words of 128 bytes are 8 or 32 MiB, far beyond the 1 MiB budget
+        columns = np.arange(1024) >> np.arange(9, -1, -1)[:, None] & 1
+        cb = fingerprint_states(BinaryCode(columns.astype(np.uint8)), 0)
+        indices = np.random.default_rng(r).choice(cb.size, size=r, replace=False)
+        width = 1024 // 8
+        rows = protocol2._GRAM_BLOCK_BYTES // (r * width)
+        counted = r * 8 + r * width + r * r * 8 + rows * r * width
+        peak = traced_peak(lambda: collections.deque(cheat_set_grams(cb, [indices]), maxlen=0))
+        assert peak <= counted + UFUNC_BUFFERS
