@@ -1,7 +1,8 @@
 """Command line driver for sessions, codebooks, bound sweeps and cheats.
 
 Exit codes: 0 ok, 2 input error, 3 phase-order error, 4 certification
-failure, 5 numerical failure.
+failure, 5 numerical failure.  Any unreadable JSON file exits 2: malformed
+text, nesting too deep to parse and an integer too long to convert.
 """
 
 from __future__ import annotations
@@ -50,35 +51,36 @@ def _maybe_codebook(path: str | None):
     return None if path is None else _load_codebook(path)
 
 
+def _write_back(args, transcript: Transcript) -> Transcript:
+    Path(args.transcript).write_text(transcript.to_json())
+    return transcript
+
+
 def _cmd_commit(args) -> int:
-    transcript = harness.commit_session(
+    _write_back(args, harness.commit_session(
         protocol=args.protocol,
         bits=args.bits,
         seed=args.seed,
         theta=args.theta,
         r=args.r,
         codebook=_maybe_codebook(args.codebook),
-    )
-    Path(args.transcript).write_text(transcript.to_json())
+    ))
     print(f"committed {len(args.bits)} bits -> {args.transcript}")
     return 0
 
 
 def _cmd_unveil(args) -> int:
-    transcript = harness.unveil_session(_load_transcript(args.transcript), args.bits)
-    Path(args.transcript).write_text(transcript.to_json())
+    _write_back(args, harness.unveil_session(_load_transcript(args.transcript), args.bits))
     print(f"unveiled {args.bits} -> {args.transcript}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    transcript = harness.verify_session(
+    record = _write_back(args, harness.verify_session(
         _load_transcript(args.transcript),
         mode=args.mode,
         codebook=_maybe_codebook(args.codebook),
-    )
-    Path(args.transcript).write_text(transcript.to_json())
-    record = transcript.verify
+    )).verify
     print(f"acceptance probability: {format_float(record['accept_probability'])}")
     if record["verdict"] is not None:
         print(f"verdict: {'accept' if record['verdict'] else 'reject'}")
@@ -154,12 +156,11 @@ def _cmd_codebook_verify(args) -> int:
 
 
 def _cmd_cheat(args) -> int:
+    params = cb = None
     if args.protocol == 1:
         if args.theta is None:
             raise InputError("protocol 1 cheats need --theta")
-        params = protocol1.SecurityParams(
-            theta=args.theta, n=len(args.reveal), r=args.r
-        )
+        params = protocol1.SecurityParams(theta=args.theta, n=len(args.reveal), r=args.r)
         if args.strategy == "top-eigenvector":
             strategy = adversary.top_eigenvector_strategy(
                 protocol1.reveal_operator(args.theta),
@@ -169,9 +170,6 @@ def _cmd_cheat(args) -> int:
             strategy = adversary.CheatStrategy(
                 kind="custom-state", state=protocol1.encode_bit(0, args.theta)
             )
-        transcript = adversary.run_cheat_session(
-            1, strategy, args.reveal, args.seed, params=params
-        )
     else:
         if args.codebook is None or args.cheat_set is None:
             raise InputError("protocol 2 cheats need --codebook and --cheat-set")
@@ -187,10 +185,9 @@ def _cmd_cheat(args) -> int:
             strategy = adversary.CheatStrategy(
                 kind="custom-state", state=cb.state(indices[0])
             )
-        transcript = adversary.run_cheat_session(
-            2, strategy, args.reveal, args.seed, codebook=cb
-        )
-    Path(args.transcript).write_text(transcript.to_json())
+    transcript = _write_back(args, adversary.run_cheat_session(
+        args.protocol, strategy, args.reveal, args.seed, params=params, codebook=cb
+    ))
     record = transcript.verify
     print(
         f"cheat session: exact acceptance "
@@ -208,15 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum bit string commitment sessions and bound checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # commit and cheat take the same session flags; one declaration keeps them alike
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--protocol", type=int, choices=(1, 2), default=1)
+    session.add_argument("--theta", type=float)
+    session.add_argument("--r", type=int, default=1)
+    session.add_argument("--codebook")
+    session.add_argument("--seed", type=int, default=0)
+    session.add_argument("--transcript", required=True)
 
-    p = sub.add_parser("commit", help="commit a bit string")
-    p.add_argument("--protocol", type=int, choices=(1, 2), default=1)
+    p = sub.add_parser("commit", parents=[session], help="commit a bit string")
     p.add_argument("--bits", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--codebook")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transcript", required=True)
     p.set_defaults(func=_cmd_commit)
 
     p = sub.add_parser("unveil", help="declare the committed bits")
@@ -258,18 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--codebook", required=True)
     i.set_defaults(func=_cmd_codebook_info)
 
-    p = sub.add_parser("cheat", help="run an adversarial session")
-    p.add_argument("--protocol", type=int, choices=(1, 2), default=1)
+    p = sub.add_parser("cheat", parents=[session], help="run an adversarial session")
     p.add_argument(
         "--strategy", choices=("top-eigenvector", "custom"), default="top-eigenvector"
     )
     p.add_argument("--reveal", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--codebook")
     p.add_argument("--cheat-set", dest="cheat_set")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transcript", required=True)
     p.set_defaults(func=_cmd_cheat)
 
     return parser

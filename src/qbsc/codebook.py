@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import CertificationError, GenerationError, InputError, NumericalError
 from .linalg import Ket
-from .transcript import REAL, field
+from .transcript import REAL, field, read_document
 
 PRNG_ID = "philox4x64:numpy-seedsequence"
 MAX_EXHAUSTIVE_K = 16  # largest k whose 2^k codewords are enumerated
@@ -400,9 +400,9 @@ class Codebook:
     def from_json(cls, text: str) -> "Codebook":
         """Parse and revalidate a stored codebook.
 
-        Every field is read strictly (see :func:`qbsc.transcript.field`):
-        ``version``, ``dim``, ``k``, ``m``, ``seed`` and ``attempts`` must be
-        JSON integers, ``epsilon_certified`` a number and ``prng_id`` the one
+        The text is read by :func:`qbsc.transcript.read_document` and every
+        field strictly (see :func:`qbsc.transcript.field`): ``dim``, ``k``,
+        ``m``, ``seed`` and ``attempts`` must be JSON integers, ``epsilon_certified`` a number and ``prng_id`` the one
         scheme this package draws with; ``m`` above ``MAX_GENERATE_M`` is
         refused before any array is built.  States are re-derived from the
         generator; the maximum overlap is recomputed from the codeword
@@ -410,19 +410,11 @@ class Codebook:
         (:class:`CertificationError`) before the constructor cross-checks
         the seeded pairs.
         """
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise InputError(f"malformed codebook document: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InputError("malformed codebook document: expected an object")
+        payload = read_document(text, "codebook")
 
         def read(key, kind):
             return field(payload, key, kind, "codebook")
 
-        version = read("version", int)
-        if version != 1:
-            raise InputError(f"unknown codebook version {version}")
         prng_id = read("prng_id", str)
         if prng_id != PRNG_ID:
             raise InputError(f"unknown codebook prng_id {prng_id!r}")

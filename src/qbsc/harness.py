@@ -28,7 +28,7 @@ import numpy as np
 
 from . import adversary, protocol1, protocol2
 from .codebook import Codebook, make_rng, verify_epsilon
-from .errors import InputError, PhaseOrderError
+from .errors import InputError
 from .linalg import DensityMatrix, Ket, _eigvalsh, von_neumann_entropy
 from .protocol1 import _BOUND_TOL, Commitment1, SecurityParams
 from .protocol2 import Commitment2
@@ -209,10 +209,7 @@ def verify_session(
     """
     if mode not in ("exact", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    if transcript.phase != "unveiled":
-        raise PhaseOrderError(
-            f"verify requires phase 'unveiled', transcript is '{transcript.phase}'"
-        )
+    transcript.require_phase("unveiled", "verify")
     commitment, verify = _reconstruct_commitment(transcript, codebook)
     rng = None
     if mode == "sampled":

@@ -161,6 +161,21 @@ def field(record: dict, key: str, kind, where: str):
     return value
 
 
+def read_document(text: str, name: str) -> dict:
+    """The JSON object in ``text``, whose ``version`` must be the integer 1.
+    Every parse failure (malformed text, nesting beyond the parser's depth,
+    an integer too long to convert) raises :class:`InputError`."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"malformed {name} document: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputError(f"malformed {name} document: expected an object")
+    if field(payload, "version", int, name) != 1:
+        raise InputError(f"unknown {name} version {payload['version']}")
+    return payload
+
+
 def _complex_from_pair(pair) -> complex:
     """One serialized ``[re, im]`` entry.  Non-finite parts are left to the
     state's own validation, which rejects them."""
@@ -230,15 +245,7 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed transcript: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InputError("malformed transcript: expected an object")
-        version = field(payload, "version", int, "transcript")
-        if version != 1:
-            raise InputError(f"unknown transcript version {version}")
+        payload = read_document(text, "transcript")
         return cls(
             protocol=field(payload, "protocol", int, "transcript"),
             phase=field(payload, "phase", str, "transcript"),
@@ -251,11 +258,14 @@ class Transcript:
             tool=field(payload, "tool", str, "transcript"),
         )
 
-    def with_unveil(self, claimed: str) -> "Transcript":
-        if self.phase != "committed":
+    def require_phase(self, phase: str, step: str) -> None:
+        if self.phase != phase:
             raise PhaseOrderError(
-                f"unveil requires phase 'committed', transcript is '{self.phase}'"
+                f"{step} requires phase '{phase}', transcript is '{self.phase}'"
             )
+
+    def with_unveil(self, claimed: str) -> "Transcript":
+        self.require_phase("committed", "unveil")
         digest = field(self.commit, "string_sha256", _OPTIONAL_STRING, "commit")
         matches = None
         if digest is not None:
@@ -268,8 +278,5 @@ class Transcript:
         )
 
     def with_verification(self, record: dict) -> "Transcript":
-        if self.phase != "unveiled":
-            raise PhaseOrderError(
-                f"verify requires phase 'unveiled', transcript is '{self.phase}'"
-            )
+        self.require_phase("unveiled", "verify")
         return replace(self, phase="verified", verify=record)

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from qbsc import codebook as codebook_module
 from qbsc import protocol2
-from qbsc.cli import main
+from qbsc import cli
+from qbsc.cli import build_parser, main
 from qbsc.codebook import MAX_GENERATE_M, PRNG_ID
 
 
@@ -693,6 +696,82 @@ class TestCheatCommand:
         assert not t.exists()
 
 
+NESTED = "[" * 5000 + "]" * 5000  # json.dumps cannot write it
+
+
+class TestUnreadableFiles:
+    """A file only the parser can refuse exits 2 from every command that
+    reads one, with an error line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("unveil", "--transcript", "{bad}", "--bits", "10"),
+            ("verify", "--transcript", "{bad}"),
+            ("verify", "--transcript", "{session}", "--codebook", "{bad}"),
+            ("commit", "--protocol", 2, "--bits", "101101", "--codebook", "{bad}",
+             "--transcript", "{out}"),
+            ("bounds", "--theta", 0.2, "--n", 2, "--r", 1, "--codebook", "{bad}",
+             "--out", "{out}"),
+            ("cheat", "--protocol", 2, "--codebook", "{bad}", "--cheat-set", "3,17",
+             "--reveal", "000011", "--transcript", "{out}"),
+            ("codebook", "info", "--codebook", "{bad}"),
+            ("codebook", "verify", "--codebook", "{bad}"),
+        ],
+        ids=["unveil", "verify", "verify-codebook", "commit", "bounds", "cheat",
+             "codebook-info", "codebook-verify"],
+    )
+    def test_nested_file_exits_2(self, tmp_path, capsys, argv):
+        paths = {name: tmp_path / f"{name}.json" for name in ("bad", "session", "out")}
+        paths["bad"].write_text(NESTED)
+        run("commit", "--bits", "10", "--theta", 0.2, "--seed", 1,
+            "--transcript", paths["session"])
+        run("unveil", "--transcript", paths["session"], "--bits", "10")
+        capsys.readouterr()
+        assert run(*(str(a).format(**paths) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert paths["bad"].read_text() == NESTED
+        assert not any(tmp_path.glob("out*"))
+
+
+SESSION_FLAGS = ("--protocol", "--theta", "--r", "--codebook", "--seed", "--transcript")
+
+
+def _commands():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@pytest.mark.parametrize("flag", SESSION_FLAGS)
+def test_commit_and_cheat_share_one_declaration_of_each_session_flag(flag):
+    commands = _commands()
+    assert commands["commit"]._option_string_actions[flag] is (
+        commands["cheat"]._option_string_actions[flag]
+    )
+
+
+@pytest.mark.parametrize("command", ["commit", "cheat"])
+def test_help_lists_every_flag(command):
+    parser = _commands()[command]
+    text = parser.format_help()
+    flags = [flag for action in parser._actions for flag in action.option_strings]
+    assert set(SESSION_FLAGS) <= set(flags)
+    for flag in flags:
+        assert flag in text, flag
+
+
+def test_each_boundary_rule_has_one_owner():
+    """One parse of JSON text and one phase-order refusal in the package, and
+    one cheat-session call in the command line driver."""
+    package = Path(cli.__file__).parent
+    source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+    assert source.count("json.loads") == 1
+    assert source.count("requires phase") == 1
+    assert Path(cli.__file__).read_text().count("run_cheat_session(") == 1
+
+
 class TestSolverFailure:
     """A failed eigensolve exits 5 with an error line on every path."""
 
@@ -811,6 +890,31 @@ def _mutate(doc, data):
     return doc
 
 
+LONG_INT = 7 * 10**30 + 1  # stands in for one integer, then made 5,000 digits long
+
+
+def _mutated_text(doc, data):
+    """The text of ``doc`` with one drawn mutation: one of ``_mutate``'s, or
+    one only the parser can refuse (the document nested 5,000 levels deep,
+    or one integer replaced by 5,000 digits), which json.dumps cannot write.
+
+    Hypothesis raises the recursion limit by 2,000 frames while a test runs,
+    so a document nested 1,000 levels deep would still parse here."""
+    kind = data.draw(st.sampled_from(("document",) * 6 + ("nested", "long-integer")))
+    if kind == "nested":
+        return "[" * 5000 + json.dumps(doc) + "]" * 5000
+    if kind == "long-integer":
+        doc = copy.deepcopy(doc)
+        path = data.draw(st.sampled_from(
+            [p for p in _paths(doc) if type(_at(doc, p)) is int]
+        ))
+        _at(doc, path[:-1])[path[-1]] = LONG_INT
+        text = json.dumps(doc)
+        assert text.count(str(LONG_INT)) == 1
+        return text.replace(str(LONG_INT), "7" * 5000)
+    return json.dumps(_mutate(doc, data))
+
+
 @pytest.fixture(scope="module")
 def boundary_files(tmp_path_factory):
     """Valid committed and unveiled transcripts of both protocols and the
@@ -862,7 +966,7 @@ class TestBoundaryFuzz:
                 ("verify", "--transcript", bad, "--mode", mode, *cb_args)
                 for mode in ("exact", "sampled")
             ]
-        text = json.dumps(_mutate(doc, data))
+        text = _mutated_text(doc, data)
         for argv in calls:
             # the session commands write their transcript back
             bad.write_text(text)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbsc import DensityMatrix, InputError, Ket, PhaseOrderError, Transcript
+from qbsc import Codebook, DensityMatrix, InputError, Ket, PhaseOrderError, Transcript
 from qbsc.harness import commit_session, unveil_session, verify_session
 from qbsc.transcript import (
     TOOL_ID,
@@ -199,6 +199,30 @@ class TestTranscriptLifecycle:
         text = t.to_json().replace('"committed"', '"limbo"')
         with pytest.raises(InputError):
             Transcript.from_json(text)
+
+
+# text that is not a version-1 JSON object; the first three only the parser
+# can refuse, so they are written as raw text
+UNREADABLE = {
+    "nested-lists": "[" * 5000 + "]" * 5000,
+    "nested-objects": '{"a": ' * 2000 + "1" + "}" * 2000,
+    "long-integer": '{"version": 1, "k": ' + "7" * 5000 + "}",
+    "top-level-array": "[1, 2, 3]",
+    "version-2": '{"version": 2}',
+    "version-true": '{"version": true}',
+    "version-missing": "{}",
+}
+
+
+class TestDocumentReader:
+    """Both loaders read their text through ``transcript.read_document``."""
+
+    @pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE)
+    @pytest.mark.parametrize("load", [Transcript.from_json, Codebook.from_json],
+                             ids=["transcript", "codebook"])
+    def test_unreadable_text_is_an_input_error(self, load, text):
+        with pytest.raises(InputError):
+            load(text)
 
 
 class TestStatePairs:
