@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import harness
 from .codebook import Codebook
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket, _eigh, _fix_phase
@@ -88,8 +89,6 @@ def run_cheat_session(
     mode from what it serialised, so it records the exact acceptance
     probability and a verdict drawn from the session's verification stream.
     """
-    from . import harness  # harness imports this module for its oracles
-
     if protocol == 1:
         if params is None:
             raise InputError("protocol 1 cheat sessions need SecurityParams")

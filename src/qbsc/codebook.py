@@ -219,9 +219,10 @@ class BinaryCode:
 
         Each is the XOR of the packed rows its message selects.  The
         messages are read at once (an integer array by its dtype, others
-        each by :func:`_index`), as int64 (as Python integers for ``k``
-        above 63), and each of their bytes looks up the whole batch's
-        partial words in one table of :attr:`_byte_tables`.
+        each by :func:`_index`), kept in ``[0, 2^k)`` by the one range rule
+        of codebook indices, as int64 (Python integers for ``k`` above 63),
+        and each of their bytes looks up the batch's partial words in one
+        table of :attr:`_byte_tables`.
         """
         k = self.k
         integral = isinstance(messages, np.ndarray) and messages.dtype.kind in "iu"

@@ -135,29 +135,30 @@ def commit_session(
 
 
 def unveil_session(transcript: Transcript, claimed: str) -> Transcript:
-    """Unveil phase.  The protocol fields are read as verification reads
-    them, so a transcript that verification would refuse for its params is
-    refused here."""
-    _protocol_params(transcript)
+    """Unveil phase.  The params and the claim are read as verification
+    reads them, so what verification would refuse is refused here."""
+    protocol1._parse_bits(claimed, _protocol_params(transcript)[1])
     return transcript.with_unveil(claimed)
 
 
 def _protocol_params(transcript: Transcript):
     """The :class:`SecurityParams` of a protocol-1 transcript, or the
-    params record of a protocol-2 one.
+    params record of a protocol-2 one, and the length of its bit strings.
 
     Every field is read strictly: integers must be JSON integers, ``theta``
     and ``epsilon`` JSON numbers, and a missing or mistyped field raises
     :class:`InputError`.
     """
     if transcript.protocol == 1:
-        return SecurityParams(
+        params = SecurityParams(
             theta=float(field(transcript.params, "theta", REAL, "params")),
             n=field(transcript.params, "n", int, "params"),
             r=field(transcript.params, "r", int, "params"),
         )
+        return params, params.n
     kinds = {"codebook_id": str, "epsilon": REAL, "dim": int, "capacity": int}
-    return {key: field(transcript.params, key, kind, "params") for key, kind in kinds.items()}
+    record = {key: field(transcript.params, key, kind, "params") for key, kind in kinds.items()}
+    return record, record["capacity"]
 
 
 def _reconstruct_commitment(transcript: Transcript, codebook: Codebook | None):
@@ -169,7 +170,7 @@ def _reconstruct_commitment(transcript: Transcript, codebook: Codebook | None):
         raise InputError("commit.message must be an object")
     kind = message.get("kind")
     if transcript.protocol == 1:
-        params = _protocol_params(transcript)
+        params, _ = _protocol_params(transcript)
         if kind == "qubit_amplitudes":
             parse = ket_from_pairs
         elif kind == "qubit_density_matrices":
@@ -181,7 +182,7 @@ def _reconstruct_commitment(transcript: Transcript, codebook: Codebook | None):
         return commitment, protocol1.verify_unveil
     if codebook is None:
         raise InputError("verifying a protocol 2 transcript needs the codebook")
-    recorded = _protocol_params(transcript)
+    recorded, _ = _protocol_params(transcript)
     for key, value in _codebook_record(codebook).items():
         if recorded[key] != value:
             raise InputError(f"supplied codebook does not match the transcript's {key}")

@@ -100,17 +100,16 @@ def _encodings(theta: float) -> tuple[Ket, Ket]:
     return encode_bit(0, theta), encode_bit(1, theta)
 
 
-def _parse_bits(bits: str) -> list[int]:
-    if not bits or any(c not in "01" for c in bits):
-        raise InputError(f"bit string must be over {{0,1}}, got {bits!r}")
+def _parse_bits(bits: str, n: int) -> list[int]:
+    """The one reader of every bit string: ``n`` characters over {0,1}."""
+    if len(bits) != n or any(c not in "01" for c in bits):
+        raise InputError(f"expected a {n}-bit string over {{0,1}}, got {bits!r}")
     return [int(c) for c in bits]
 
 
 def commit(bits: str, params: SecurityParams) -> Commitment1:
     """Honest commitment: the sequence of encoded qubits for the string."""
-    values = _parse_bits(bits)
-    if len(values) != params.n:
-        raise InputError(f"expected {params.n} bits, got {len(values)}")
+    values = _parse_bits(bits, params.n)
     encodings = _encodings(params.theta)
     return Commitment1(qubits=tuple(encodings[b] for b in values), params=params)
 
@@ -145,11 +144,7 @@ def verify_unveil(
     each projective outcome is drawn in qubit order, stopping at the first
     0, and the claim is accepted only if every outcome is 1.
     """
-    values = _parse_bits(claimed)
-    if len(values) != commitment.params.n:
-        raise InputError(
-            f"claimed string has {len(values)} bits, expected {commitment.params.n}"
-        )
+    values = _parse_bits(claimed, commitment.params.n)
     encodings = _encodings(commitment.params.theta)
     probs = [
         projection_probability(encodings[b], q)

@@ -17,17 +17,19 @@ stream of cheat sets, alone decides what a batch holds, and gives each
 batch's Gram matrices of one size as one stack, for one stacked solve.
 Every cheat set, named (:class:`CheatSet`, :func:`cheat_set_for`) or
 sampled (:func:`cheat_set_grams`), is read by one private reader,
-``_cheat_sets``: a 1-D, non-empty sequence of distinct integers, in ``[0,
-2^k)`` once the codebook is known.  An integer array is read as it is, any
-other sequence one index at a time by the codebook's integer rule, so a
-float (even 3.0), a numeric string and a boolean are refused; each kind of
-failure has one ``InputError``.  The uniform code ensemble has density
-entries ``[column j of G == column l of G] / m``, so its entropy, like the
-receiver's exact chance of guessing the whole string, follows in closed
-form from the multiplicities of the generator's columns: the code's cached
-``column_classes``, their one source.  The dense ``Q`` serves the top-eigenvector cheat strategy of
-``qbsc cheat``: a real float64 ``dim x dim`` matrix from one batch of
-codewords, since the states' amplitudes are real.
+``_cheat_sets``: a 1-D, non-empty sequence of distinct integers.  An
+integer array is read as it is, any other sequence one index at a time by
+the codebook's integer rule, so a float (even 3.0), a numeric string and a
+boolean are refused; each kind of failure has one ``InputError``.  The
+codeword lookup alone keeps every codebook index in ``[0, 2^k)``, and
+protocol 1's ``_parse_bits`` alone reads a bit string.  The uniform code
+ensemble has density entries ``[column j of G == column l of G] / m``, so
+its entropy, like the receiver's exact chance of guessing the whole string,
+follows in closed form from the multiplicities of the generator's columns:
+the code's cached ``column_classes``, their one source.  The dense ``Q``
+serves the top-eigenvector cheat strategy of ``qbsc cheat``: a real float64
+``dim x dim`` matrix from one batch of codewords, since the states'
+amplitudes are real.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .codebook import Codebook, _amplitudes, _index, capacity
 from .errors import InputError, NumericalError
 from .linalg import DensityMatrix, HermitianOp, Ket
-from .protocol1 import _BOUND_TOL, projection_probability
+from .protocol1 import _BOUND_TOL, _parse_bits, projection_probability
 
 # bytes of one batch of cheat_set_grams: its int64 indices, packed codewords,
 # XOR words and float64 Grams, all the arrays it holds while the Grams are built
@@ -68,8 +70,7 @@ class Commitment2:
 @dataclass(frozen=True)
 class CheatSet:
     """Distinct codebook indices a dishonest committer keeps open, read by
-    :func:`_cheat_sets`; with no codebook to bound them, the range is left
-    to :func:`cheat_set_for` and to the code's codewords."""
+    :func:`_cheat_sets`; their range is left to a codebook's lookup."""
 
     indices: tuple[int, ...]
 
@@ -83,18 +84,20 @@ class CheatSet:
 
 
 def cheat_set_for(cb: Codebook, indices) -> CheatSet:
-    """Cheat set for a codebook, read by :func:`_cheat_sets` with the
-    codebook's range, and the overlap assumption (r - 1) * epsilon < 1 that
-    :func:`binding_bound2` checks."""
-    (stack,) = _cheat_sets([indices], cb.size).values()
-    binding_bound2(stack.shape[1], cb.epsilon_certified)
-    return CheatSet(stack[0])
+    """Cheat set for a codebook, read once as a :class:`CheatSet`, its range
+    checked by the codeword lookup, and the overlap assumption
+    (r - 1) * epsilon < 1 that :func:`binding_bound2` checks."""
+    s = CheatSet(indices)
+    cb.code._packed_words(s.indices)
+    binding_bound2(s.r, cb.epsilon_certified)
+    return s
 
 
-def _cheat_sets(sets, size: int | None = None) -> dict[int, np.ndarray]:
+def _cheat_sets(sets) -> dict[int, np.ndarray]:
     """The one reader of cheat sets (see the module docstring): int64
     ``(S_r, r)`` stacks by size, in order of first appearance, each set
-    checked for duplicates and, if ``size`` is given, range once per stack."""
+    checked for duplicates once per stack, and for no range: the codeword
+    lookup owns it."""
     by_size: dict = {}
     for indices in sets:
         if not (isinstance(indices, np.ndarray) and indices.dtype.kind in "iu"
@@ -109,17 +112,14 @@ def _cheat_sets(sets, size: int | None = None) -> dict[int, np.ndarray]:
     for r, same in by_size.items():
         stack = by_size[r] = np.array(same, dtype=np.int64)
         ordered = np.sort(stack, axis=1)
-        if (repeats := (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)).any():
-            raise InputError(f"cheat set has duplicated indices: {stack[repeats.argmax()].tolist()}")
-        if size is not None and (outside := stack.view(np.uint64) >= size).any():
-            raise InputError(f"cheat set index {stack[outside][0]} outside codebook of size {size}")
+        if (repeats := ordered[:, 1:] == ordered[:, :-1]).any():
+            raise InputError(f"cheat set has duplicated indices: {stack[repeats.any(axis=1).argmax()].tolist()}")
     return by_size
 
 
 def string_index(bits: str, n_bits: int) -> int:
-    """Big-endian bit string to codebook index."""
-    if len(bits) != n_bits or any(c not in "01" for c in bits):
-        raise InputError(f"expected a {n_bits}-bit string over {{0,1}}, got {bits!r}")
+    """Big-endian bit string to codebook index, read by :func:`_parse_bits`."""
+    _parse_bits(bits, n_bits)
     return int(bits, 2)
 
 
@@ -163,7 +163,7 @@ def cheat_set_grams(cb: Codebook, cheat_sets):
 
     ``cheat_sets`` is any iterable of index sequences (rows of an ``(S, r)``
     array, or a generator of draws), each batch of them read by
-    :func:`_cheat_sets` with the codebook's range.  It is read once, in
+    :func:`_cheat_sets`, its range left to its lookup.  It is read once, in
     order, and this function alone decides what a batch holds: whole sets
     while their int64 indices, packed codewords, XOR words and float64
     Grams fit in ``_GRAM_BLOCK_BYTES``, one set at least.  Per batch it
@@ -196,7 +196,7 @@ def cheat_set_grams(cb: Codebook, cheat_sets):
 
 def _batch_grams(cb: Codebook, batch: list):
     """``(r, stack)`` per size of one batch of :func:`cheat_set_grams`."""
-    stacks = _cheat_sets(batch, cb.size)
+    stacks = _cheat_sets(batch)  # the lookup below checks the range
     batch.clear()  # the stacks hold the indices now
     packed = cb.code._packed_words(np.concatenate([stack.ravel() for stack in stacks.values()]))
     width = packed.shape[1]

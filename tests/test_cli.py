@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbsc import adversary, harness, protocol1, protocol2
 from qbsc import codebook as codebook_module
-from qbsc import protocol2
 from qbsc import cli
 from qbsc.cli import build_parser, main
 from qbsc.codebook import MAX_GENERATE_M, PRNG_ID
+from qbsc.errors import InputError
 
 
 MISSING = object()
@@ -291,11 +293,16 @@ class TestSessionFlow:
         assert payload["params"][key] != value
         payload["params"][key] = value
         t.write_text(json.dumps(payload))
-        assert run("unveil", "--transcript", t, "--bits", "101101") == 0
+        if key == "capacity":
+            # the claim is read against the recorded capacity, as verify reads it
+            command, refusal = ("unveil", "--bits", "101101"), "expected a 99-bit string"
+        else:
+            assert run("unveil", "--transcript", t, "--bits", "101101") == 0
+            command, refusal = ("verify", "--codebook", codebook_path), f"transcript's {key}"
         before = t.read_bytes()
-        assert run("verify", "--transcript", t, "--codebook", codebook_path) == 2
+        assert run(command[0], "--transcript", t, *command[1:]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"transcript's {key}" in err
+        assert err.startswith("error:") and refusal in err
         assert t.read_bytes() == before
 
     def test_protocol2_verify_needs_matching_codebook(self, tmp_path, codebook_path):
@@ -733,6 +740,148 @@ class TestUnreadableFiles:
         assert err.startswith("error:") and "Traceback" not in err
         assert paths["bad"].read_text() == NESTED
         assert not any(tmp_path.glob("out*"))
+
+
+def _refusal(call) -> str:
+    """The message of the one ``InputError`` a library reader raises."""
+    with pytest.raises(InputError) as refused:
+        call()
+    return str(refused.value)
+
+
+def _cli_refusal(capsys, *argv) -> str:
+    """The message of the one error line a command exits 2 with."""
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err.removeprefix("error: ").rstrip("\n")
+
+
+# one table per kind of session input: codebook indices for the README's
+# k = 6 codebook of 64 states, and bit strings for 4-bit sessions
+BAD_INDICES = {"negative": -1, "2^k": 64, "2^70": 2**70}
+SET_SHAPE = "cheat set must be a non-empty 1-D sequence of int64 integers"
+BAD_BITS = {"alphabet": "10x1", "too-short": "101", "too-long": "10101", "empty": ""}
+
+
+class TestOneReaderPerInput:
+    @pytest.mark.parametrize("name", list(BAD_INDICES))
+    def test_every_index_reader_gives_one_message(self, tmp_path, codebook_path, capsys, name):
+        value = BAD_INDICES[name]
+        cb = codebook_module.Codebook.from_json(codebook_path.read_text())
+        t = tmp_path / "session2.json"
+        run("commit", "--protocol", 2, "--bits", "000001", "--codebook", codebook_path,
+            "--seed", 1, "--transcript", t)
+        run("unveil", "--transcript", t, "--bits", "000001")
+        payload = json.loads(t.read_text())
+        payload["commit"]["message"]["index"] = value
+        t.write_text(json.dumps(payload))
+        lookups = {
+            "state": lambda: _refusal(lambda: cb.state(value)),
+            "codewords": lambda: _refusal(lambda: cb.code.codewords([value])),
+            "qbsc verify": lambda: _cli_refusal(
+                capsys, "verify", "--transcript", t, "--codebook", codebook_path),
+        }
+        members = {
+            "cheat_set_for": lambda: _refusal(lambda: protocol2.cheat_set_for(cb, [3, value])),
+            "cheat_set_grams": lambda: _refusal(
+                lambda: list(protocol2.cheat_set_grams(cb, [[3, value]]))),
+            "cheat_set_grams-array": lambda: _refusal(
+                lambda: list(protocol2.cheat_set_grams(cb, np.array([[3, value]])))),
+            "qbsc cheat": lambda: _cli_refusal(
+                capsys, "cheat", "--protocol", 2, "--codebook", codebook_path,
+                "--cheat-set", f"3,{value}", "--reveal", "000011",
+                "--transcript", tmp_path / "cheat.json"),
+        }
+        lookup = f"message {value} out of range for k=6"
+        assert {read() for read in lookups.values()} == {lookup}
+        # sets are stacked as int64, so a member beyond it is a set of the wrong shape
+        assert {read() for read in members.values()} == {SET_SHAPE if value >= 2**63 else lookup}
+        assert not (tmp_path / "cheat.json").exists()
+
+    @pytest.mark.parametrize("name", list(BAD_BITS))
+    def test_every_bit_string_reader_gives_one_message(self, tmp_path, capsys, name):
+        bits = BAD_BITS[name]
+        path = tmp_path / "codebook.json"
+        run("codebook", "gen", "--n", 32, "--k", 4, "--epsilon", 0.5, "--seed", 1, "--out", path)
+        cb = codebook_module.Codebook.from_json(path.read_text())
+        params = protocol1.SecurityParams(theta=0.2, n=4)
+        committed = {1: harness.commit_session(1, "1011", seed=1, theta=0.2),
+                     2: harness.commit_session(2, "1011", seed=1, codebook=cb)}
+        strategies = {1: adversary.CheatStrategy("custom-state", protocol1.encode_bit(0, 0.2)),
+                      2: adversary.CheatStrategy("custom-state", cb.state(0))}
+        verify_flags = {1: (), 2: ("--codebook", path)}
+        readers = {}
+        for protocol in (1, 2):
+            t, claimed = tmp_path / f"p{protocol}.json", tmp_path / f"p{protocol}-claimed.json"
+            t.write_text(committed[protocol].to_json())
+            claimed.write_text(committed[protocol].with_unveil(bits).to_json())
+            readers |= {
+                f"unveil_session-{protocol}": lambda p=protocol: _refusal(
+                    lambda: harness.unveil_session(committed[p], bits)),
+                f"verify_session-{protocol}": lambda p=protocol: _refusal(
+                    lambda: harness.verify_session(committed[p].with_unveil(bits), codebook=cb)),
+                f"run_cheat_session-{protocol}": lambda p=protocol: _refusal(
+                    lambda: adversary.run_cheat_session(p, strategies[p], bits, 1, params, cb)),
+                f"qbsc unveil-{protocol}": lambda t=t: _cli_refusal(
+                    capsys, "unveil", "--transcript", t, "--bits", bits),
+                f"qbsc verify-{protocol}": lambda p=protocol, t=claimed: _cli_refusal(
+                    capsys, "verify", "--transcript", t, *verify_flags[p]),
+            }
+        readers |= {
+            "commit_session-2": lambda: _refusal(
+                lambda: harness.commit_session(2, bits, seed=1, codebook=cb)),
+            "qbsc commit-2": lambda: _cli_refusal(
+                capsys, "commit", "--protocol", 2, "--bits", bits, "--codebook", path,
+                "--transcript", tmp_path / "out.json"),
+            "qbsc cheat-2": lambda: _cli_refusal(
+                capsys, "cheat", "--protocol", 2, "--codebook", path, "--cheat-set", "3,5",
+                "--reveal", bits, "--transcript", tmp_path / "out.json"),
+        }
+        if name == "alphabet":
+            # protocol 1 commits and cheats take n from the string itself
+            readers |= {
+                "commit_session-1": lambda: _refusal(
+                    lambda: harness.commit_session(1, bits, seed=1, theta=0.2)),
+                "qbsc commit-1": lambda: _cli_refusal(
+                    capsys, "commit", "--bits", bits, "--theta", 0.2,
+                    "--transcript", tmp_path / "out.json"),
+                "qbsc cheat-1": lambda: _cli_refusal(
+                    capsys, "cheat", "--theta", 0.2, "--reveal", bits,
+                    "--transcript", tmp_path / "out.json"),
+            }
+        messages = {reader: read() for reader, read in readers.items()}
+        assert set(messages.values()) == {f"expected a 4-bit string over {{0,1}}, got {bits!r}"}
+        assert len(messages) == (16 if name == "alphabet" else 13)
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("protocol, bits", [(1, "1010"), (2, "101101")])
+    def test_bad_claim_at_unveil_leaves_the_session_open(
+        self, tmp_path, codebook_path, capsys, protocol, bits
+    ):
+        t = tmp_path / "session.json"
+        codebook = () if protocol == 1 else ("--codebook", codebook_path)
+        assert run("commit", "--protocol", protocol, "--bits", bits, "--seed", 2,
+                   "--theta", 0.2, "--transcript", t, *codebook) == 0
+        before = t.read_bytes()
+        for claim in (bits[:-1] + "x", bits[:-1], bits + "0", ""):
+            assert run("unveil", "--transcript", t, "--bits", claim) == 2
+            assert t.read_bytes() == before
+        assert run("unveil", "--transcript", t, "--bits", bits) == 0
+        capsys.readouterr()
+        assert run("verify", "--transcript", t, "--mode", "exact", *codebook) == 0
+        assert capsys.readouterr().out == "acceptance probability: 1\n"
+
+    def test_each_input_rule_is_written_once(self):
+        # the index range's text is counted with the cheat-set checks in test_protocol2
+        package = Path(cli.__file__).parent
+        source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
+        assert source.count("-bit string over") == 1
+        assert list(inspect.signature(protocol2._cheat_sets).parameters) == ["sets"]
+        for function in (protocol1.commit, protocol1.verify_unveil,
+                         protocol2.string_index, harness.unveil_session):
+            assert "_parse_bits(" in inspect.getsource(function), function.__name__
 
 
 SESSION_FLAGS = ("--protocol", "--theta", "--r", "--codebook", "--seed", "--transcript")

@@ -650,8 +650,8 @@ BAD_SETS = {
 }
 SHAPE = "cheat set must be a non-empty 1-D sequence of int64 integers"
 REFUSAL = {
-    "negative": "cheat set index -1 outside codebook of size 64",
-    "2^k": "cheat set index 64 outside codebook of size 64",
+    "negative": "message -1 out of range for k=6",
+    "2^k": "message 64 out of range for k=6",
     "repeat": "cheat set has duplicated indices: [5, 5]",
 }
 NEEDS_CODEBOOK = ("negative", "2^k")
@@ -729,18 +729,27 @@ class TestOneIndexReader:
                      [{3, 17, 40}, frozenset({1, 2, 5}), {7, 9, 11}]):
             assert [len(stack) for _, stack in cheat_set_grams(pinned_codebook, sets)] == [2, 1]
 
+    def test_cheat_set_for_reads_its_set_once(self, monkeypatch, pinned_codebook):
+        reads, read = [], protocol2._cheat_sets
+        monkeypatch.setattr(protocol2, "_cheat_sets", lambda *args: reads.append(args) or read(*args))
+        assert cheat_set_for(pinned_codebook, [3, 17, 40]).indices == (3, 17, 40)
+        assert len(reads) == 1
+
     def test_each_set_check_and_refusal_is_written_once(self):
         package = Path(protocol2.__file__).parent
         source = "".join(path.read_text() for path in sorted(package.glob("*.py")))
-        for written in ("non-empty 1-D sequence", "duplicated indices", "outside codebook",
-                        "indices.ndim != 1", "ordered[:, 1:] == ordered[:, :-1]", ">= size"):
+        for written in ("non-empty 1-D sequence", "duplicated indices", "out of range for k=",
+                        "indices.ndim != 1", "ordered[:, 1:] == ordered[:, :-1]"):
             assert source.count(written) == 1, written
         text = Path(protocol2.__file__).read_text()
         assert "int(i) for i in" not in text
-        # the three readers of cheat sets all go through the one reader
-        for caller in ("class CheatSet", "def cheat_set_for", "def _batch_grams"):
+        # the three readers of cheat sets all go through the one reader,
+        # cheat_set_for by way of the CheatSet it returns
+        for caller, reads in (("class CheatSet", "_cheat_sets("),
+                              ("def cheat_set_for", "CheatSet("),
+                              ("def _batch_grams", "_cheat_sets(")):
             body = text.split(caller, 1)[1].split("\ndef ", 1)[0]
-            assert "_cheat_sets(" in body, caller
+            assert reads in body, caller
         assert len(re.findall(r"np\.sort\(", text)) == 1
 
 
